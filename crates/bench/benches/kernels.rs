@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks of the computational kernels: the quantized
 //! GEMV with and without zero skipping (the software analogue of the
-//! accelerator's gain), state pruning, and the offset encoder.
+//! accelerator's gain), the i8 family's batched post-GEMM tail, state
+//! pruning, and the offset encoder. Medians land in `BENCH_kernels.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
-use zskip_core::{OffsetEncoder, StatePruner};
-use zskip_nn::StateTransform;
+use zskip_core::{OffsetEncoder, QuantizedLstm, StatePruner};
+use zskip_nn::{LstmCell, StateTransform};
 use zskip_tensor::{Matrix, QMatrix, SeedableStream};
 
 /// A quantized state vector with the requested zero fraction.
@@ -69,6 +70,42 @@ fn bench_sparse_rows(c: &mut Criterion) {
     }
 }
 
+fn bench_quantized_pointwise(c: &mut Criterion) {
+    // The i8 step's whole post-GEMM stage (`QLstmTail::step`: rescale,
+    // LUT gates, cell update, prune, requantise, pack) at serving
+    // shapes, portable body vs whatever the dispatch picks — the stage
+    // that was 59% of the `sparse_batch_i8` step while it ran per unit.
+    let mut group = c.benchmark_group("quantized_pointwise");
+    for (dh, lanes) in [(128usize, 16usize), (512, 1), (512, 16)] {
+        let mut rng = SeedableStream::new(dh as u64);
+        let q = QuantizedLstm::from_cell(&LstmCell::new(64, dh, &mut rng), 0.1);
+        let units = lanes * dh;
+        let mut zx = vec![0.0f32; 4 * units];
+        for row in zx.chunks_mut(4 * dh) {
+            q.one_hot_accumulators_into(rng.index(64), row);
+        }
+        let h = sparse_codes(units, 0.9, 7);
+        let acc_h = q.wh().gemm_t_i32(&h, lanes);
+        let c_prev = sparse_codes(units, 0.0, 9);
+        let (mut h_out, mut c_out) = (vec![0i8; units], vec![0i8; units]);
+        let shape = format!("dh{dh}_b{lanes}");
+        group.bench_function(BenchmarkId::new("portable", &shape), |b| {
+            b.iter(|| {
+                q.tail()
+                    .step_portable(&zx, &acc_h, &c_prev, &mut h_out, &mut c_out);
+                black_box(&mut h_out);
+            })
+        });
+        group.bench_function(BenchmarkId::new("dispatched", &shape), |b| {
+            b.iter(|| {
+                q.step_lanes(&zx, &acc_h, &c_prev, &mut h_out, &mut c_out);
+                black_box(&mut h_out);
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_prune(c: &mut Criterion) {
     let h = Matrix::from_fn(64, 1000, |r, k| ((r + k) as f32 * 0.003).sin());
     let pruner = StatePruner::new(0.2);
@@ -106,8 +143,22 @@ criterion_group!(
     benches,
     bench_gemv_skip,
     bench_sparse_rows,
+    bench_quantized_pointwise,
     bench_prune,
     bench_encoder,
     bench_decode
 );
-criterion_main!(benches);
+
+/// Runs the groups, then drops every measured median into
+/// `BENCH_kernels.json` (see `zskip_bench::evidence`).
+fn main() {
+    benches();
+    let mut evidence = zskip_bench::Evidence::new("kernels");
+    for m in criterion::take_measurements() {
+        evidence = evidence.metric(&m.id, m.median_nanos);
+    }
+    match evidence.write() {
+        Ok(path) => eprintln!("bench evidence: {}", path.display()),
+        Err(e) => eprintln!("bench evidence write failed: {e}"),
+    }
+}

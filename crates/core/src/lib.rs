@@ -34,6 +34,9 @@
 //! assert_eq!(hp.row(0), &[0.0, -0.7, 0.0, 0.9]);
 //! ```
 
+// Every intrinsic and raw-pointer access lives in `zskip-tensor`.
+#![forbid(unsafe_code)]
+
 pub mod encode;
 pub mod prune;
 pub mod quantized;

@@ -23,7 +23,7 @@ use crate::prune::StatePruner;
 use serde::{Deserialize, Serialize};
 use zskip_nn::LstmCell;
 use zskip_tensor::lut::{ActivationLut, GateLuts};
-use zskip_tensor::{QMatrix, Quantizer};
+use zskip_tensor::{QLstmTail, QMatrix, Quantizer};
 
 /// Output of one quantized step.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,7 +50,7 @@ pub struct QuantizedStep {
 /// let step = q.step(&x, &vec![0; 8], &vec![0; 8]);
 /// assert_eq!(step.h.len(), 8);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct QuantizedLstm {
     dx: usize,
     dh: usize,
@@ -62,6 +62,37 @@ pub struct QuantizedLstm {
     c_quant: Quantizer,
     luts: GateLuts,
     pruner: StatePruner,
+    /// Derived, never persisted: `tanh` of every cell code
+    /// ([`zskip_tensor::qlstm::tanh_of_code`]) for the batched step.
+    #[serde(skip)]
+    tanh_of_code: [f32; 256],
+    /// Derived, never persisted: the input code of `1.0`, the only
+    /// non-zero code a one-hot input holds.
+    #[serde(skip)]
+    one_hot_code: i32,
+}
+
+/// Only the defining fields are persisted; deserialization goes through
+/// [`QuantizedLstm::from_parts`], so a hand-edited blob gets the same
+/// shape checks a snapshot does and the derived tables are rebuilt.
+impl Deserialize for QuantizedLstm {
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
+        use serde::de::field;
+        let pruner: StatePruner = field(v, "pruner")?;
+        Self::from_parts(
+            field(v, "dx")?,
+            field(v, "dh")?,
+            field(v, "wx")?,
+            field(v, "wh")?,
+            field(v, "bias")?,
+            field(v, "x_quant")?,
+            field(v, "h_quant")?,
+            field(v, "c_quant")?,
+            field(v, "luts")?,
+            pruner.threshold(),
+        )
+        .map_err(serde::DeError)
+    }
 }
 
 impl QuantizedLstm {
@@ -72,19 +103,26 @@ impl QuantizedLstm {
     /// (product of a sigmoid and a tanh) and a conservative `c ∈ (-4, 4)`;
     /// the input quantizer assumes `|x| ≤ 1` (one-hot chars, unit pixels,
     /// bounded embeddings — rescale inputs otherwise).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is negative or non-finite, or if the cell
+    /// is so wide that a recurrent accumulator could overflow `i32`
+    /// ([`QMatrix::check_gemm_t_acc`]).
     pub fn from_cell(cell: &LstmCell, threshold: f32) -> Self {
-        Self {
-            dx: cell.input_dim(),
-            dh: cell.hidden_dim(),
-            wx: QMatrix::from_matrix(cell.wx()),
-            wh: QMatrix::from_matrix(cell.wh()),
-            bias: cell.bias().to_vec(),
-            x_quant: Quantizer::from_max_abs(1.0),
-            h_quant: Quantizer::from_max_abs(1.0),
-            c_quant: Quantizer::from_max_abs(4.0),
-            luts: GateLuts::hardware(),
-            pruner: StatePruner::new(threshold),
-        }
+        Self::from_parts(
+            cell.input_dim(),
+            cell.hidden_dim(),
+            QMatrix::from_matrix(cell.wx()),
+            QMatrix::from_matrix(cell.wh()),
+            cell.bias().to_vec(),
+            Quantizer::from_max_abs(1.0),
+            Quantizer::from_max_abs(1.0),
+            Quantizer::from_max_abs(4.0),
+            GateLuts::hardware(),
+            threshold,
+        )
+        .unwrap_or_else(|reason| panic!("cannot quantize cell: {reason}"))
     }
 
     /// Rebuilds a quantized cell from stored parts (model snapshots),
@@ -92,7 +130,10 @@ impl QuantizedLstm {
     /// code bit-exactly — unlike [`from_cell`](Self::from_cell), which
     /// re-derives quantizers and hardware tables. Returns a message
     /// naming the violated shape invariant instead of panicking, so a
-    /// corrupted snapshot surfaces as a typed load error.
+    /// corrupted snapshot surfaces as a typed load error. That includes
+    /// a `wh` with so many rows that `rows · 127 · 128` leaves `i32`
+    /// ([`QMatrix::check_gemm_t_acc`]): the recurrent accumulators
+    /// could then wrap.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         dx: usize,
@@ -106,6 +147,8 @@ impl QuantizedLstm {
         luts: GateLuts,
         threshold: f32,
     ) -> Result<Self, String> {
+        wh.check_gemm_t_acc()
+            .map_err(|reason| format!("wh: {reason}"))?;
         if wx.rows() != dx || wx.cols() != 4 * dh {
             return Err(format!(
                 "wx is {}x{}, expected {dx}x{}",
@@ -143,6 +186,8 @@ impl QuantizedLstm {
             x_quant,
             h_quant,
             c_quant,
+            tanh_of_code: zskip_tensor::qlstm::tanh_of_code(luts.tanh(), c_quant),
+            one_hot_code: x_quant.quantize(1.0) as i32,
             luts,
             pruner: StatePruner::new(threshold),
         })
@@ -274,6 +319,68 @@ impl QuantizedLstm {
         (self.h_quant.quantize(h_val), c_code)
     }
 
+    /// The x-side gate accumulators of a one-hot input with token `tok`
+    /// set, written to `out` (`4·dh`) as exactly-integral `f32` values —
+    /// the encoding [`Self::step_lanes`] consumes. Only row `tok` of `Wx`
+    /// contributes, scaled by the code of `1.0`: bit-identical to
+    /// `wx.gemv_t_i32(quantize_input(one_hot))`, which walks the same
+    /// single non-zero row (the paper's "implemented as a look-up
+    /// table", integer edition). Each value is one `i8 × i8` product,
+    /// `|acc| ≤ 127²`, so `f32` holds it exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tok >= self.input_dim()` or `out.len() != 4·dh`.
+    pub fn one_hot_accumulators_into(&self, tok: usize, out: &mut [f32]) {
+        let row = self.wx.row(tok);
+        assert_eq!(out.len(), row.len(), "gate row length mismatch");
+        for (dst, w) in out.iter_mut().zip(row) {
+            *dst = (*w as i32 * self.one_hot_code) as f32;
+        }
+    }
+
+    /// The batched post-GEMM kernel over this cell's parameters —
+    /// exposed so dispatch-pinning tests and benches can run its
+    /// portable and AVX2 bodies side by side.
+    pub fn tail(&self) -> QLstmTail<'_> {
+        QLstmTail {
+            x_scale: self.x_acc_scale(),
+            h_scale: self.h_acc_scale(),
+            bias: &self.bias,
+            sigmoid: self.luts.sigmoid(),
+            tanh: self.luts.tanh(),
+            tanh_of_code: &self.tanh_of_code,
+            c_quant: self.c_quant,
+            h_quant: self.h_quant,
+            threshold: self.pruner.threshold(),
+        }
+    }
+
+    /// One batched step from ready accumulators, over `B` lanes stacked
+    /// row-major: `zx` (`B × 4dh`, x-side accumulators as integral `f32`,
+    /// see [`Self::one_hot_accumulators_into`]) and `acc_h` (`B × 4dh`,
+    /// e.g. from `wh().gemm_t_i32_sparse_rows_into`) go through
+    /// [`preactivation`](Self::preactivation) →
+    /// [`activation`](Self::activation) → [`pointwise`](Self::pointwise)
+    /// against `c_prev` (`B × dh`), writing the pruned hidden codes to
+    /// `h_out` and the cell codes to `c_out`. Each lane is bit-identical
+    /// to [`Self::step`] on that lane's codes; the work runs in
+    /// [`QLstmTail::step`], vectorised where the CPU allows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    pub fn step_lanes(
+        &self,
+        zx: &[f32],
+        acc_h: &[i32],
+        c_prev: &[i8],
+        h_out: &mut [i8],
+        c_out: &mut [i8],
+    ) {
+        self.tail().step(zx, acc_h, c_prev, h_out, c_out);
+    }
+
     /// One quantized inference step.
     ///
     /// `h_codes`/`c_codes` are the stored 8-bit states from the previous
@@ -385,6 +492,78 @@ mod tests {
         let a = q.run_sequence(&inputs);
         let b = q.run_sequence(&inputs);
         assert_eq!(a.last().unwrap().h, b.last().unwrap().h);
+    }
+
+    #[test]
+    fn from_parts_rejects_a_wh_whose_accumulators_could_wrap() {
+        // `rows × 0` costs no codes, so the shape alone is on trial.
+        let rows = i32::MAX as usize / (127 * 128) + 1;
+        let step = Quantizer::from_max_abs(1.0);
+        let wide = |rows| QMatrix::from_parts(rows, 0, Vec::new(), step).unwrap();
+        let build = |wh| {
+            let wx = QMatrix::from_parts(1, 0, Vec::new(), step).unwrap();
+            QuantizedLstm::from_parts(
+                1,
+                0,
+                wx,
+                wh,
+                Vec::new(),
+                step,
+                step,
+                step,
+                GateLuts::hardware(),
+                0.0,
+            )
+        };
+        let reason = build(wide(rows)).unwrap_err();
+        assert!(reason.starts_with("wh: ") && reason.contains("i32 accumulator"));
+        // One row fewer passes the bound and fails on the shape instead.
+        assert!(build(wide(rows - 1)).unwrap_err().starts_with("wh is "));
+    }
+
+    #[test]
+    fn batched_step_matches_sequential_steps_lane_by_lane() {
+        let cell = cell(6, 5, 19);
+        let q = QuantizedLstm::from_cell(&cell, 0.1);
+        let (lanes, dh) = (3usize, 19usize);
+        let h: Vec<i8> = (0..lanes * dh)
+            .map(|u| (u * 11 % 7) as i8 * 9 - 27)
+            .collect();
+        let c: Vec<i8> = (0..lanes * dh).map(|u| (u * 29) as i8).collect();
+        let toks = [4usize, 0, 2];
+        let mut zx = vec![0.0f32; lanes * 4 * dh];
+        for (row, &tok) in zx.chunks_mut(4 * dh).zip(&toks) {
+            q.one_hot_accumulators_into(tok, row);
+        }
+        let acc_h = q.wh().gemm_t_i32(&h, lanes);
+        let (mut h_out, mut c_out) = (vec![0i8; lanes * dh], vec![0i8; lanes * dh]);
+        q.step_lanes(&zx, &acc_h, &c, &mut h_out, &mut c_out);
+        for (lane, &tok) in toks.iter().enumerate() {
+            let mut one_hot = vec![0.0f32; 5];
+            one_hot[tok] = 1.0;
+            let rows = lane * dh..(lane + 1) * dh;
+            let want = q.step(
+                &q.quantize_input(&one_hot),
+                &h[rows.clone()],
+                &c[rows.clone()],
+            );
+            assert_eq!(
+                &h_out[rows.clone()],
+                &want.h[..],
+                "lane {lane} hidden codes"
+            );
+            assert_eq!(&c_out[rows], &want.c[..], "lane {lane} cell codes");
+        }
+    }
+
+    #[test]
+    fn serde_round_trip_rebuilds_the_derived_tables() {
+        let q = QuantizedLstm::from_cell(&cell(7, 3, 6), 0.2);
+        let back = QuantizedLstm::from_value(&q.to_value()).expect("round trip");
+        assert_eq!(back.to_value(), q.to_value());
+        assert_eq!(back.tanh_of_code, q.tanh_of_code);
+        assert_eq!(back.one_hot_code, q.one_hot_code);
+        assert_eq!(back.one_hot_code, 127);
     }
 
     #[test]

@@ -66,6 +66,9 @@
 //! assert!(engine.stats().skip_fraction() > 0.0, "no MACs were skipped");
 //! ```
 
+// Every intrinsic and raw-pointer access lives in `zskip-tensor`.
+#![forbid(unsafe_code)]
+
 pub mod batcher;
 pub mod engine;
 pub mod model;

@@ -407,8 +407,6 @@ pub struct StepScratch<S> {
     /// Integer recurrent accumulators (`B × gate-width`) — quantized
     /// family only.
     pub acc: Vec<i32>,
-    /// Per-lane gate value buffer (`gate-width`) — quantized family only.
-    pub lane_gates: Vec<f32>,
     /// Next pruned hidden state (`B × dh`), the step's main output.
     pub h_next: StateLanes<S>,
     /// Next cell state (`B × cell_dim`).
@@ -443,7 +441,6 @@ impl<S: StateScalar> StepScratch<S> {
             gates: Matrix::zeros(0, 0),
             embed: Matrix::zeros(0, 0),
             acc: Vec::new(),
-            lane_gates: Vec::new(),
             h_next: StateLanes::zeros(0, 0),
             c_next: StateLanes::zeros(0, 0),
             plan: SkipPlan::empty(),

@@ -113,9 +113,14 @@ pub trait ModelSnapshot: Sized {
     /// Reconstructs the model from its sections, bit-exactly.
     fn read_sections(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
 
-    /// Serializes to the container format.
+    /// Serializes to the container format. A sizing pass first, so the
+    /// stream is one exact allocation: no regrowth, no copies left
+    /// behind in the heap of a process that goes on to serve.
     fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new(Self::FAMILY.tag(), Self::FAMILY.name());
+        let (tag, name) = (Self::FAMILY.tag(), Self::FAMILY.name());
+        let mut sizing = SnapshotWriter::sizing(tag, name);
+        self.write_sections(&mut sizing);
+        let mut w = SnapshotWriter::with_capacity(tag, name, sizing.stream_len());
         self.write_sections(&mut w);
         w.finish()
     }

@@ -400,16 +400,10 @@ impl FrozenHead {
         logits
     }
 
-    /// [`Self::forward`] on `f32` state lanes, copy-free.
-    pub fn forward_lanes(&self, hp: &StateLanes<f32>) -> Matrix {
-        let mut logits = Matrix::zeros(0, 0);
-        self.forward_lanes_into(hp, &mut logits);
-        logits
-    }
-
-    /// [`Self::forward_lanes`] writing into a caller-provided matrix —
-    /// the allocation-free form the scratch-threaded step uses. `out` is
-    /// resized to `B × output_dim` reusing its storage.
+    /// [`Self::forward`] on `f32` state lanes, copy-free, writing into a
+    /// caller-provided matrix — the allocation-free form the
+    /// scratch-threaded step uses. `out` is resized to `B × output_dim`
+    /// reusing its storage.
     pub fn forward_lanes_into(&self, hp: &StateLanes<f32>, out: &mut Matrix) {
         Matrix::matmul_from_rows_into(hp.as_slice(), hp.rows(), &self.w, out);
         out.add_row_broadcast(&self.b);

@@ -5,11 +5,12 @@
 //! storage — instead of the float path the other families take. It
 //! *embeds* [`zskip_core::QuantizedLstm`], the golden functional model the
 //! accelerator's `FunctionalTile` is verified bit-for-bit against, and
-//! reuses its `preactivation` / `activation` / `pointwise` stages
-//! verbatim; the only thing this module adds is the **batched, skip-aware
-//! accumulator**: `QMatrix::gemm_t_i32_sparse_rows` under the engine's
-//! [`SkipPlan`], which is bit-free because integer addition is
-//! associative and a code-0 unit contributes exact zeros.
+//! runs its `preactivation` / `activation` / `pointwise` stages through
+//! the cell's own batched form ([`QuantizedLstm::step_lanes`]); the only
+//! thing this module adds is the **batched, skip-aware accumulator**:
+//! `QMatrix::gemm_t_i32_sparse_rows` under the engine's
+//! [`SkipPlan`](crate::SkipPlan), which is bit-free because integer
+//! addition is associative and a code-0 unit contributes exact zeros.
 //!
 //! Sessions therefore carry `i8` codes between steps
 //! ([`FrozenModel::State`]` = i8`), exactly as hidden and cell states live
@@ -68,13 +69,18 @@ impl FrozenQuantizedCharLm {
     /// families' `freeze`; quantization reads through the model's
     /// accessors, which the `Freezable` export is debug-asserted
     /// byte-identical to.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is so wide that an `i32` gate or head
+    /// accumulator could overflow ([`QMatrix::check_gemm_t_acc`]).
     pub fn freeze(model: &mut CharLm, threshold: f32) -> Self {
-        Self {
-            vocab: model.vocab_size(),
-            q: QuantizedLstm::from_cell(model.lstm().cell(), threshold),
-            head_w: QMatrix::from_matrix(model.head().weight()),
-            head_b: model.head().bias().to_vec(),
-        }
+        Self::assemble(
+            model.vocab_size(),
+            QuantizedLstm::from_cell(model.lstm().cell(), threshold),
+            QMatrix::from_matrix(model.head().weight()),
+            model.head().bias().to_vec(),
+        )
     }
 
     /// Random weights at serving shape — used by benchmarks and
@@ -85,11 +91,23 @@ impl FrozenQuantizedCharLm {
         let cell = LstmCell::new(vocab, hidden, &mut rng);
         let scale = (1.0 / hidden as f32).sqrt();
         let head_w = super::random_matrix(hidden, vocab, scale, &mut rng);
+        Self::assemble(
+            vocab,
+            QuantizedLstm::from_cell(&cell, threshold),
+            QMatrix::from_matrix(&head_w),
+            vec![0.0; vocab],
+        )
+    }
+
+    fn assemble(vocab: usize, q: QuantizedLstm, head_w: QMatrix, head_b: Vec<f32>) -> Self {
+        if let Err(reason) = head_w.check_gemm_t_acc() {
+            panic!("cannot quantize head: {reason}");
+        }
         Self {
             vocab,
-            q: QuantizedLstm::from_cell(&cell, threshold),
-            head_w: QMatrix::from_matrix(&head_w),
-            head_b: vec![0.0; vocab],
+            q,
+            head_w,
+            head_b,
         }
     }
 
@@ -140,35 +158,24 @@ impl FrozenModel for FrozenQuantizedCharLm {
         TokenDomain { vocab: self.vocab }
     }
 
-    /// Raw x-side `i32` accumulators, carried as `f32` (each element is
-    /// a single `i8 × i8` product, |acc| ≤ 127², so the value is exactly
-    /// representable and the round-trip through the `Matrix` container
-    /// is lossless). With a one-hot input only row `tok` of `Wx`
-    /// contributes, scaled by the code of `1.0` — bit-identical to
-    /// `wx.gemv_t_i32(quantize_input(one_hot))`, which walks the same
-    /// single non-zero row (the paper's "implemented as a look-up
-    /// table", integer edition).
+    /// Raw x-side `i32` accumulators, carried as `f32` (exactly
+    /// representable, so the round-trip through the `Matrix` container
+    /// is lossless): the cell's one-hot row lookup,
+    /// [`QuantizedLstm::one_hot_accumulators_into`], per lane.
     fn input_encode(&self, inputs: &[usize], scratch: &mut StepScratch<i8>) {
-        let gates = 4 * self.q.hidden_dim();
-        let one = self.q.x_quantizer().quantize(1.0) as i32;
-        scratch.zx.resize_for_overwrite(inputs.len(), gates);
+        scratch
+            .zx
+            .resize_for_overwrite(inputs.len(), 4 * self.q.hidden_dim());
         for (r, &tok) in inputs.iter().enumerate() {
-            for (dst, w) in scratch.zx.row_mut(r).iter_mut().zip(self.q.wx().row(tok)) {
-                *dst = ((*w as i32) * one) as f32;
-            }
+            self.q.one_hot_accumulators_into(tok, scratch.zx.row_mut(r));
         }
     }
 
     /// One batched quantized step: the skip-aware integer accumulator
-    /// feeds the embedded reference's own `preactivation` → LUT
-    /// `activation` → `pointwise` stages, so each lane is bit-identical
-    /// to [`QuantizedLstm::step`] on that lane's codes (proptested in
+    /// feeds the embedded reference's batched post-GEMM stage
+    /// ([`QuantizedLstm::step_lanes`]), so each lane is bit-identical to
+    /// [`QuantizedLstm::step`] on that lane's codes (proptested in
     /// `tests/proptests.rs`).
-    ///
-    /// The per-lane work runs in three planes (pre-activations, LUT
-    /// non-linearities, pointwise tail) instead of one fused per-unit
-    /// loop, with an AVX2-compiled
-    /// twin dispatched at runtime.
     ///
     /// # Panics
     ///
@@ -188,40 +195,21 @@ impl FrozenModel for FrozenQuantizedCharLm {
             pruner.threshold(),
             self.q.threshold()
         );
-        let dh = self.q.hidden_dim();
-        let b = h.rows();
         scratch
             .plan
             .gemm_t_i32_into(h, self.q.wh(), &mut scratch.acc);
         scratch.stages.lap(Stage::RecurrentGemm);
 
-        // Every state code and gate value is written below (pass 1
-        // fills the whole gate plane) — no zero-fill needed.
-        scratch.h_next.resize_for_overwrite(b, dh);
-        scratch.c_next.resize_for_overwrite(b, dh);
-        scratch.lane_gates.resize(4 * dh, 0.0);
-        #[cfg(target_arch = "x86_64")]
-        let use_avx2 = zskip_tensor::simd::use_avx2();
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_avx2 = false;
-        for r in 0..b {
-            let zx_row = scratch.zx.row(r);
-            let acc_row = &scratch.acc[r * 4 * dh..(r + 1) * 4 * dh];
-            let c_row = c.row(r);
-            let h_out = scratch.h_next.row_mut(r);
-            let c_out = scratch.c_next.row_mut(r);
-            let gates = &mut scratch.lane_gates;
-            #[cfg(target_arch = "x86_64")]
-            if use_avx2 {
-                // SAFETY: AVX2 was detected once before the loop; the
-                // twin's only `unsafe` is the table gather, whose
-                // indices are clamped into bounds.
-                unsafe { self.lane_step_avx2(zx_row, acc_row, c_row, gates, h_out, c_out) };
-                continue;
-            }
-            let _ = use_avx2;
-            self.lane_step_portable(zx_row, acc_row, c_row, gates, h_out, c_out);
-        }
+        // Every state code is written by the step — no zero-fill needed.
+        scratch.h_next.resize_for_overwrite(c.rows(), c.cols());
+        scratch.c_next.resize_for_overwrite(c.rows(), c.cols());
+        self.q.step_lanes(
+            scratch.zx.as_slice(),
+            &scratch.acc,
+            c.as_slice(),
+            scratch.h_next.as_mut_slice(),
+            scratch.c_next.as_mut_slice(),
+        );
     }
 
     /// Quantized head: `i8` state codes against the `i8` head weights
@@ -244,93 +232,6 @@ impl FrozenModel for FrozenQuantizedCharLm {
                 *dst = *a as f32 * scale + *b;
             }
         }
-    }
-}
-
-/// The per-lane quantized step, in three planes over a scratch `gates`
-/// buffer (`4·dh`, gate order `[f | i | o | g]`):
-///
-/// 1. pre-activations: `zx·xs + acc_h·hs + bias` (the exact formula of
-///    [`QuantizedLstm::preactivation`] — `zx` already holds the x-side
-///    accumulator value, so the `i32` round-trip is a no-op),
-/// 2. LUT non-linearities: sigmoid over the first `3·dh`, tanh over the
-///    rest (exactly [`QuantizedLstm::activation`] per element),
-/// 3. pointwise tail: [`QuantizedLstm::pointwise`] per unit.
-///
-/// Splitting the fused per-unit loop into planes lets pass 1
-/// autovectorize and keeps pass 2's table lookups in a tight loop; the
-/// AVX2 twin additionally performs the lookups with 8-wide gathers. The
-/// per-element arithmetic is identical in both twins and identical to
-/// the sequential reference — `lane_twins_agree_bitwise` and the
-/// frozen-vs-reference proptests pin all three together.
-impl FrozenQuantizedCharLm {
-    fn lane_step_portable(
-        &self,
-        zx_row: &[f32],
-        acc_row: &[i32],
-        c_row: &[i8],
-        gates: &mut [f32],
-        h_out: &mut [i8],
-        c_out: &mut [i8],
-    ) {
-        let dh = self.q.hidden_dim();
-        for (k, g) in gates.iter_mut().enumerate() {
-            *g = self.q.preactivation(k, zx_row[k] as i32, acc_row[k]);
-        }
-        let (sig_part, tanh_part) = gates.split_at_mut(3 * dh);
-        self.q.sigmoid_lut().eval_slice_portable(sig_part);
-        self.q.tanh_lut().eval_slice_portable(tanh_part);
-        self.pointwise_plane(gates, c_row, h_out, c_out);
-    }
-
-    /// Pass 3, shared by both twins: the reference's pointwise tail per
-    /// unit, reading the gate planes produced by passes 1–2.
-    fn pointwise_plane(&self, gates: &[f32], c_row: &[i8], h_out: &mut [i8], c_out: &mut [i8]) {
-        let dh = self.q.hidden_dim();
-        let (f_g, rest) = gates.split_at(dh);
-        let (i_g, rest) = rest.split_at(dh);
-        let (o_g, g_g) = rest.split_at(dh);
-        for j in 0..dh {
-            let (h_code, c_code) = self.q.pointwise(f_g[j], i_g[j], o_g[j], g_g[j], c_row[j]);
-            h_out[j] = h_code;
-            c_out[j] = c_code;
-        }
-    }
-
-    /// AVX2 twin of [`Self::lane_step_portable`]: pass 1 autovectorizes
-    /// under the feature (`mul`/`mul`/`add`/`add` per element — no FMA
-    /// contraction without fast-math, so the rounding matches the scalar
-    /// formula), pass 2 is the shared gather kernel
-    /// [`ActivationLut::eval_slice_avx2`](zskip_tensor::lut::ActivationLut::eval_slice_avx2)
-    /// (`cvtps2dq` rounds ties-to-even exactly like the scalar
-    /// `round_ties_even`), pass 3 is the shared scalar tail.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn lane_step_avx2(
-        &self,
-        zx_row: &[f32],
-        acc_row: &[i32],
-        c_row: &[i8],
-        gates: &mut [f32],
-        h_out: &mut [i8],
-        c_out: &mut [i8],
-    ) {
-        let dh = self.q.hidden_dim();
-        let xs = self.q.x_acc_scale();
-        let hs = self.q.h_acc_scale();
-        let bias = self.q.bias();
-        // Pass 1. `zx` stores exact integers (single i8×i8 products), so
-        // `zx as i32 as f32` in the reference formula is the identity.
-        for k in 0..4 * dh {
-            gates[k] = zx_row[k] * xs + acc_row[k] as f32 * hs + bias[k];
-        }
-        // Pass 2: the shared gather kernel, called directly so this lane
-        // stays a pure AVX2 body under dispatch pinning.
-        let (sig_part, tanh_part) = gates.split_at_mut(3 * dh);
-        self.q.sigmoid_lut().eval_slice_avx2(sig_part);
-        self.q.tanh_lut().eval_slice_avx2(tanh_part);
-        // Pass 3.
-        self.pointwise_plane(gates, c_row, h_out, c_out);
     }
 }
 
@@ -367,6 +268,13 @@ impl crate::snapshot::ModelSnapshot for FrozenQuantizedCharLm {
         let threshold = crate::snapshot::read_f32_scalar(r, "q.threshold")?;
         let head_w = crate::snapshot::read_qmatrix(r, "head.w")?;
         let (_, head_b) = r.f32s("head.b")?;
+        for (tensor, m) in [("q.wh.codes", &wh), ("head.w.codes", &head_w)] {
+            m.check_gemm_t_acc()
+                .map_err(|reason| zskip_tensor::SnapshotError::Invalid {
+                    tensor: tensor.to_string(),
+                    reason,
+                })?;
+        }
         let (dx, dh) = (wx.rows(), wh.rows());
         let q = QuantizedLstm::from_parts(
             dx, dh, wx, wh, bias, x_quant, h_quant, c_quant, luts, threshold,
@@ -447,37 +355,21 @@ mod tests {
         assert!(result.is_err(), "mismatched threshold must panic");
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn lane_twins_agree_bitwise() {
-        use crate::model::SkipPlan;
-        if !zskip_tensor::simd::use_avx2() {
-            return;
+    fn oversized_head_is_a_typed_load_error() {
+        use crate::snapshot::ModelSnapshot;
+        // A header may claim any shape its payload agrees with, and
+        // `rows × 0` needs no payload: one row past the i32 bound.
+        let rows = i32::MAX as usize / (127 * 128) + 1;
+        let mut model = FrozenQuantizedCharLm::random(4, 2, 0.1, 1);
+        model.head_w = QMatrix::from_parts(rows, 0, Vec::new(), model.head_w.quantizer()).unwrap();
+        match FrozenQuantizedCharLm::from_snapshot_bytes(&model.to_snapshot_bytes()) {
+            Err(zskip_tensor::SnapshotError::Invalid { tensor, reason }) => {
+                assert_eq!(tensor, "head.w.codes");
+                assert!(reason.contains("i32 accumulator"), "{reason}");
+            }
+            other => panic!("expected a typed accumulator-bound error, got {other:?}"),
         }
-        // Odd dh so the 8-wide gather loop exercises its scalar tails.
-        let f = FrozenQuantizedCharLm::random(10, 37, 0.2, 4);
-        let dh = 37;
-        let mut scratch = StepScratch::new();
-        f.input_encode(&[3], &mut scratch);
-        let h: Vec<i8> = (0..dh)
-            .map(|j| if j % 3 == 0 { 0 } else { (j as i8) - 18 })
-            .collect();
-        let c: Vec<i8> = (0..dh).map(|j| (j as i8) - 20).collect();
-        let lanes = StateLanes::from_vec(1, dh, h.clone());
-        let plan = SkipPlan {
-            active: (0..dh).collect(),
-            anchors: 0,
-            use_sparse: true,
-        };
-        let acc = plan.gemm_t_i32(&lanes, f.quantized().wh());
-        let mut gates = vec![0f32; 4 * dh];
-        let (mut hp, mut cp) = (vec![0i8; dh], vec![0i8; dh]);
-        f.lane_step_portable(scratch.zx.row(0), &acc, &c, &mut gates, &mut hp, &mut cp);
-        let (mut ha, mut ca) = (vec![0i8; dh], vec![0i8; dh]);
-        // SAFETY: AVX2 detected above.
-        unsafe { f.lane_step_avx2(scratch.zx.row(0), &acc, &c, &mut gates, &mut ha, &mut ca) };
-        assert_eq!(hp, ha, "hidden codes diverged between twins");
-        assert_eq!(cp, ca, "cell codes diverged between twins");
     }
 
     #[test]

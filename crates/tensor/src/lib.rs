@@ -8,6 +8,8 @@
 //! * [`quant`] — symmetric linear 8-bit quantization of weights and
 //!   activations, matching the paper's "8-bit quantization for all weights
 //!   and input/hidden vectors" (Section II-B),
+//! * [`qlstm`] — the quantized LSTM's post-GEMM datapath (rescale, LUT
+//!   gates, cell update, prune, requantise) as one batched kernel,
 //! * [`fixed`] — parameterized fixed-point formats used to model the
 //!   accelerator's 12-bit scratch partial sums (Section III-B),
 //! * [`lut`] — table-based sigmoid/tanh like the hardware tiles use, plus
@@ -35,6 +37,7 @@
 pub mod fixed;
 pub mod lut;
 pub mod matrix;
+pub mod qlstm;
 pub mod quant;
 pub mod rng;
 pub mod simd;
@@ -44,6 +47,7 @@ pub mod stats;
 pub use fixed::{FixedPoint, QFormat};
 pub use lut::{sigmoid, tanh, ActivationLut, GateActivations, GateLuts};
 pub use matrix::Matrix;
+pub use qlstm::QLstmTail;
 pub use quant::{QMatrix, QVector, Quantizer};
 pub use rng::SeedableStream;
 pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};

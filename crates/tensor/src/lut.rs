@@ -352,6 +352,53 @@ impl ActivationLut {
     }
 }
 
+/// An [`ActivationLut`] with its lookup constants broadcast to eight
+/// lanes — what a kernel that fuses the lookup into a wider loop (the
+/// i8 tail in [`crate::qlstm`]) hoists out of it.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct LutLanes8<'a> {
+    table: &'a [f32],
+    range: std::arch::x86_64::__m256,
+    neg_range: std::arch::x86_64::__m256,
+    pos_scale: std::arch::x86_64::__m256,
+    last: std::arch::x86_64::__m256i,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl ActivationLut {
+    /// Broadcasts the lookup geometry for [`LutLanes8::eval`].
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn lanes8(&self) -> LutLanes8<'_> {
+        use std::arch::x86_64::*;
+        LutLanes8 {
+            table: &self.table,
+            range: _mm256_set1_ps(self.range),
+            neg_range: _mm256_set1_ps(-self.range),
+            pos_scale: _mm256_set1_ps(self.pos_scale),
+            last: _mm256_set1_epi32(self.table.len() as i32 - 1),
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl LutLanes8<'_> {
+    /// [`ActivationLut::eval`] on eight values at once — the loop body
+    /// of [`ActivationLut::eval_slice_avx2`] on one register, with the
+    /// same clamp, ties-to-even `cvtps2dq` index and clamped gather.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) fn eval(&self, v: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        let clamped = _mm256_min_ps(_mm256_max_ps(v, self.neg_range), self.range);
+        let pos = _mm256_mul_ps(_mm256_add_ps(clamped, self.range), self.pos_scale);
+        let idx = _mm256_cvtps_epi32(pos);
+        let idx = _mm256_min_epi32(_mm256_max_epi32(idx, _mm256_setzero_si256()), self.last);
+        // SAFETY: `idx` was just clamped into `0..table.len()`.
+        unsafe { _mm256_i32gather_ps::<4>(self.table.as_ptr(), idx) }
+    }
+}
+
 /// The sigmoid/tanh table pair a recurrent cell carries — **the** shared
 /// LUT core: one type owns the table geometry (position scale, ties-even
 /// rounding, clamped tails via [`ActivationLut::eval`]) and the per-gate

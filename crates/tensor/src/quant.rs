@@ -15,6 +15,10 @@ use serde::{Deserialize, Serialize};
 /// The quantized integer range is symmetric: `[-127, 127]`.
 pub const QMAX: i32 = 127;
 
+/// The largest `f32` below `0.5` (`0.49999997`), the rounding offset of
+/// the branch-free half-away-from-zero form.
+const HALF_PRED: f32 = 0.5f32.next_down();
+
 /// Symmetric linear quantizer mapping `f32` to `i8`.
 ///
 /// # Example
@@ -110,11 +114,99 @@ impl Quantizer {
         self.scale
     }
 
-    /// Quantizes one value with round-to-nearest and saturation.
+    /// Quantizes one value with round-to-nearest and saturation to
+    /// `±127`. Ties round **half away from zero** (`f32::round`): `0.5`
+    /// LSB becomes code `1`, `-2.5` LSB becomes `-3`. This is the state
+    /// quantisation rule of the 8-bit datapath — not the ties-to-even
+    /// rule [`ActivationLut::eval`](crate::ActivationLut::eval) indexes
+    /// its table with. NaN maps to code `0`.
     #[inline]
     pub fn quantize(&self, x: f32) -> i8 {
         let q = (x * self.inv_scale).round();
         q.clamp(-(QMAX as f32), QMAX as f32) as i8
+    }
+
+    /// [`Self::quantize`] without the libm `roundf` call: clamp to
+    /// `±127` first, then truncate `t + copysign(0.49999997, t)`. With
+    /// `|t| ≤ 127` the sum's own rounding lands exactly where half-away
+    /// rounding does — `n + 0.5` reaches `n + 1`, its predecessor stays
+    /// below — which `floor(|t| + 0.5)` gets wrong at `0.49999997`.
+    #[inline]
+    pub(crate) fn quantize_trunc(&self, x: f32) -> i8 {
+        let t = (x * self.inv_scale).clamp(-(QMAX as f32), QMAX as f32);
+        (t + HALF_PRED.copysign(t)) as i8
+    }
+
+    /// Quantizes a whole plane: `dst[i] = quantize(src[i])`, through the
+    /// branch-free form. Dispatches to the AVX2 twin through
+    /// [`crate::simd::use_avx2`]; both bodies equal [`Self::quantize`]
+    /// on every `f32` (pinned at every tie in this module's tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` differ in length.
+    pub fn quantize_into(&self, src: &[f32], dst: &mut [i8]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::use_avx2() {
+            // SAFETY: AVX2 support was just detected.
+            unsafe { self.quantize_into_avx2(src, dst) };
+            return;
+        }
+        self.quantize_into_portable(src, dst);
+    }
+
+    /// Portable body of [`Self::quantize_into`].
+    pub fn quantize_into_portable(&self, src: &[f32], dst: &mut [i8]) {
+        assert_eq!(src.len(), dst.len(), "quantize_into length mismatch");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = self.quantize_trunc(s);
+        }
+    }
+
+    /// AVX2 twin of [`Self::quantize_into_portable`]: eight values per
+    /// iteration, `packs` down to bytes; the sub-8 tail runs the scalar
+    /// form.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the CPU supports AVX2 (the `target_feature`
+    /// contract); [`Self::quantize_into`] checks via `simd::use_avx2()`
+    /// before dispatching here. No other precondition — the lengths are
+    /// asserted equal and every load and store is bounds-guarded.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub fn quantize_into_avx2(&self, src: &[f32], dst: &mut [i8]) {
+        use std::arch::x86_64::*;
+        assert_eq!(src.len(), dst.len(), "quantize_into length mismatch");
+        let lanes = self.lanes8();
+        let mut k = 0usize;
+        while k + 8 <= src.len() {
+            // SAFETY: `k + 8 <= len` of both slices bounds the 32-byte
+            // load and the 8-byte store.
+            unsafe {
+                let codes = lanes.quantize(_mm256_loadu_ps(src.as_ptr().add(k)));
+                let packed = QuantLanes8::pack(codes, codes);
+                _mm_storel_epi64(dst.as_mut_ptr().add(k) as *mut __m128i, packed);
+            }
+            k += 8;
+        }
+        for (d, &s) in dst[k..].iter_mut().zip(&src[k..]) {
+            *d = self.quantize_trunc(s);
+        }
+    }
+
+    /// Broadcasts the quantisation constants for [`QuantLanes8::quantize`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn lanes8(&self) -> QuantLanes8 {
+        use std::arch::x86_64::*;
+        QuantLanes8 {
+            inv_scale: _mm256_set1_ps(self.inv_scale),
+            qmax: _mm256_set1_ps(QMAX as f32),
+            neg_qmax: _mm256_set1_ps(-(QMAX as f32)),
+            half_pred: _mm256_set1_ps(HALF_PRED),
+            sign: _mm256_set1_ps(-0.0),
+        }
     }
 
     /// Reconstructs the real value of a code.
@@ -125,12 +217,64 @@ impl Quantizer {
 
     /// Quantizes a slice into a fresh vector of codes.
     pub fn quantize_slice(&self, xs: &[f32]) -> Vec<i8> {
-        xs.iter().map(|x| self.quantize(*x)).collect()
+        let mut codes = vec![0i8; xs.len()];
+        self.quantize_into(xs, &mut codes);
+        codes
     }
 
     /// Dequantizes a slice of codes.
     pub fn dequantize_slice(&self, qs: &[i8]) -> Vec<f32> {
         qs.iter().map(|q| self.dequantize(*q)).collect()
+    }
+}
+
+/// A [`Quantizer`] with its constants broadcast to eight lanes — what the
+/// plane kernels ([`Quantizer::quantize_into_avx2`], the i8 tail in
+/// [`crate::qlstm`]) hoist out of their loops.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct QuantLanes8 {
+    inv_scale: std::arch::x86_64::__m256,
+    qmax: std::arch::x86_64::__m256,
+    neg_qmax: std::arch::x86_64::__m256,
+    half_pred: std::arch::x86_64::__m256,
+    sign: std::arch::x86_64::__m256,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl QuantLanes8 {
+    /// [`Quantizer::quantize`] on eight values: codes as `i32` lanes,
+    /// each within `±127`. NaN lanes are zeroed first (the scalar `as`
+    /// cast maps NaN to `0`; `max`/`min` would map it to a bound).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) fn quantize(&self, v: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256i {
+        use std::arch::x86_64::*;
+        let t = _mm256_mul_ps(v, self.inv_scale);
+        let t = _mm256_and_ps(t, _mm256_cmp_ps::<_CMP_ORD_Q>(t, t));
+        let t = _mm256_min_ps(_mm256_max_ps(t, self.neg_qmax), self.qmax);
+        let half = _mm256_or_ps(_mm256_and_ps(t, self.sign), self.half_pred);
+        _mm256_cvttps_epi32(_mm256_add_ps(t, half))
+    }
+
+    /// Packs two vectors of codes to bytes: `a0..a7` in the low half,
+    /// `b0..b7` in the high half. Codes are within `±127`, so both
+    /// saturating packs are exact.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) fn pack(
+        a: std::arch::x86_64::__m256i,
+        b: std::arch::x86_64::__m256i,
+    ) -> std::arch::x86_64::__m128i {
+        use std::arch::x86_64::*;
+        // `[a0..3 b0..3 | a4..7 b4..7]` as i16, then the same as bytes
+        // in the low half of each 128-bit lane.
+        let words = _mm256_packs_epi32(a, b);
+        let bytes = _mm256_packs_epi16(words, words);
+        _mm_unpacklo_epi32(
+            _mm256_castsi256_si128(bytes),
+            _mm256_extracti128_si256::<1>(bytes),
+        )
     }
 }
 
@@ -266,6 +410,22 @@ impl QMatrix {
             codes,
             quantizer,
         })
+    }
+
+    /// Whether the transposed products (`gemv_t_i32` / `gemm_t_i32*`)
+    /// can accumulate in `i32` without wrapping: each of the `rows`
+    /// terms is at most `127 · 128` in magnitude (weight codes obey the
+    /// type invariant, state codes are any `i8`). Returns a message for
+    /// loaders to wrap in their typed error. The bound is 132 104 rows.
+    pub fn check_gemm_t_acc(&self) -> Result<(), String> {
+        if self.rows > i32::MAX as usize / (QMAX as usize * 128) {
+            return Err(format!(
+                "{} rows of |code product| <= {} can overflow the i32 accumulator",
+                self.rows,
+                QMAX * 128
+            ));
+        }
+        Ok(())
     }
 
     /// Quantizes a dense matrix with max-abs calibration over all entries.
@@ -748,6 +908,68 @@ mod tests {
             let x = i as f32 / 100.0;
             let err = (q.dequantize(q.quantize(x)) - x).abs();
             assert!(err <= q.step() / 2.0 + 1e-6, "x={x} err={err}");
+        }
+    }
+
+    /// Every input the branch-free rounding could get wrong: ±4 ulp
+    /// around each half-integer tie out past the clamp, plus signed
+    /// zeros, the saturation edges, far-out values and non-finites —
+    /// in LSB units, scaled by `step` below.
+    fn rounding_probes() -> Vec<f32> {
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            127.5,
+            -127.5,
+            1e9,
+            -1e9,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for k in -129..=129 {
+            for tie in [k as f32 - 0.5, k as f32 + 0.5] {
+                let (mut down, mut up) = (tie, tie);
+                probes.push(tie);
+                for _ in 0..4 {
+                    down = down.next_down();
+                    up = up.next_up();
+                    probes.extend([down, up]);
+                }
+            }
+        }
+        probes
+    }
+
+    #[test]
+    fn plane_quantize_matches_scalar_round_at_every_tie() {
+        assert_eq!(HALF_PRED.to_bits(), 0.499_999_97f32.to_bits());
+        // Step 1.0 makes `x * inv_scale` the probe itself, so the ties
+        // are hit exactly; the other steps approach them through the
+        // multiply the datapath really performs.
+        for q in [
+            Quantizer::from_step(1.0).unwrap(),
+            Quantizer::from_max_abs(1.0),
+            Quantizer::from_max_abs(4.0),
+        ] {
+            let src: Vec<f32> = rounding_probes().iter().map(|t| t * q.step()).collect();
+            let want: Vec<i8> = src.iter().map(|x| q.quantize(*x)).collect();
+            let mut got = vec![i8::MIN; src.len()];
+            q.quantize_into_portable(&src, &mut got);
+            assert_eq!(got, want, "portable body, step {}", q.step());
+            got.fill(i8::MIN);
+            q.quantize_into(&src, &mut got);
+            assert_eq!(got, want, "dispatched body, step {}", q.step());
+            #[cfg(target_arch = "x86_64")]
+            if crate::simd::use_avx2() {
+                // Every alignment of the 8-wide loop against its tail.
+                for skip in 0..8 {
+                    got.fill(i8::MIN);
+                    // SAFETY: AVX2 detected above.
+                    unsafe { q.quantize_into_avx2(&src[skip..], &mut got[skip..]) };
+                    assert_eq!(got[skip..], want[skip..], "avx2 twin, step {}", q.step());
+                }
+            }
         }
     }
 

@@ -230,11 +230,19 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Builds a snapshot byte stream section by section.
+/// Builds a snapshot byte stream section by section, in one buffer:
+/// payloads are encoded straight into it and [`finish`](Self::finish)
+/// hands it over after patching the section count, so the only large
+/// allocation is the stream itself. Sized with
+/// [`with_capacity`](Self::with_capacity) (from a [`sizing`](Self::sizing)
+/// pass) that buffer never regrows either.
 pub struct SnapshotWriter {
-    family: u8,
-    name: String,
-    sections: Vec<u8>,
+    /// The stream so far — header, then sections; empty when sizing.
+    bytes: Vec<u8>,
+    /// `Some(total)` in a sizing pass: only the length is tracked.
+    sizing: Option<usize>,
+    /// Offset of the header's `u32 n_sections`, patched by `finish`.
+    count_at: usize,
     n_sections: u32,
 }
 
@@ -244,80 +252,124 @@ impl SnapshotWriter {
     /// any tensor is touched, so a server binary can dispatch on the
     /// family without decoding weights).
     pub fn new(family: u8, name: &str) -> Self {
-        Self {
-            family,
-            name: name.to_string(),
-            sections: Vec::new(),
+        Self::with_capacity(family, name, 0)
+    }
+
+    /// [`Self::new`] with room for a stream of `len` bytes in total.
+    pub fn with_capacity(family: u8, name: &str, len: usize) -> Self {
+        Self::start(family, name, Vec::with_capacity(len), None)
+    }
+
+    /// A writer that stores nothing and only adds up
+    /// [`Self::stream_len`]: run the same section calls against it first
+    /// to learn the capacity the real pass needs.
+    pub fn sizing(family: u8, name: &str) -> Self {
+        Self::start(family, name, Vec::new(), Some(0))
+    }
+
+    fn start(family: u8, name: &str, bytes: Vec<u8>, sizing: Option<usize>) -> Self {
+        let mut w = Self {
+            bytes,
+            sizing,
+            count_at: 0,
             n_sections: 0,
+        };
+        w.put(&MAGIC);
+        w.put(&SNAPSHOT_VERSION.to_le_bytes());
+        w.put(&[family]);
+        w.put_str(name);
+        w.count_at = w.stream_len();
+        w.put(&0u32.to_le_bytes());
+        w
+    }
+
+    /// Length of the stream so far (what [`Self::finish`] would return).
+    pub fn stream_len(&self) -> usize {
+        self.sizing.unwrap_or(self.bytes.len())
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.sizing {
+            Some(total) => *total += bytes.len(),
+            None => self.bytes.extend_from_slice(bytes),
         }
     }
 
-    fn push_str(buf: &mut Vec<u8>, s: &str) {
-        let bytes = s.as_bytes();
-        assert!(bytes.len() <= u16::MAX as usize, "snapshot name too long");
-        buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-        buf.extend_from_slice(bytes);
+    fn put_str(&mut self, s: &str) {
+        assert!(s.len() <= u16::MAX as usize, "snapshot name too long");
+        self.put(&(s.len() as u16).to_le_bytes());
+        self.put(s.as_bytes());
     }
 
-    fn section_header(&mut self, name: &str, dtype: SnapshotDtype, shape: &[usize]) {
+    /// One section: header fields, then `payload_len` bytes produced by
+    /// `encode` directly into the stream, then their CRC-32.
+    fn section(
+        &mut self,
+        name: &str,
+        dtype: SnapshotDtype,
+        shape: &[usize],
+        payload_len: usize,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> &mut Self {
         assert!(
             shape.len() <= MAX_NDIMS as usize,
             "snapshot sections hold at most {MAX_NDIMS} dims"
         );
-        Self::push_str(&mut self.sections, name);
-        self.sections.push(dtype.tag());
-        self.sections.push(shape.len() as u8);
+        assert_eq!(
+            shape.iter().product::<usize>() * dtype.elem_size(),
+            payload_len,
+            "shape/data mismatch writing `{name}`"
+        );
+        self.put_str(name);
+        self.put(&[dtype.tag(), shape.len() as u8]);
         for &d in shape {
-            self.sections.extend_from_slice(&(d as u64).to_le_bytes());
+            self.put(&(d as u64).to_le_bytes());
+        }
+        self.put(&(payload_len as u64).to_le_bytes());
+        match &mut self.sizing {
+            Some(total) => *total += payload_len + 4,
+            None => {
+                let start = self.bytes.len();
+                self.bytes.reserve(payload_len + 4);
+                encode(&mut self.bytes);
+                assert_eq!(self.bytes.len() - start, payload_len, "payload length");
+                let crc = crc32(&self.bytes[start..]);
+                self.bytes.extend_from_slice(&crc.to_le_bytes());
+            }
         }
         self.n_sections += 1;
-    }
-
-    fn payload(&mut self, bytes: Vec<u8>) {
-        self.sections
-            .extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        let crc = crc32(&bytes);
-        self.sections.extend_from_slice(&bytes);
-        self.sections.extend_from_slice(&crc.to_le_bytes());
+        self
     }
 
     /// Appends an f32 tensor. `shape` must multiply out to `data.len()`.
     pub fn f32s(&mut self, name: &str, shape: &[usize], data: &[f32]) -> &mut Self {
-        assert_eq!(
-            shape.iter().product::<usize>(),
-            data.len(),
-            "shape/data mismatch writing `{name}`"
-        );
-        self.section_header(name, SnapshotDtype::F32, shape);
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for &x in data {
-            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        self.payload(bytes);
-        self
+        self.section(name, SnapshotDtype::F32, shape, data.len() * 4, |out| {
+            for x in data {
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        })
     }
 
     /// Appends an i8 tensor.
     pub fn i8s(&mut self, name: &str, shape: &[usize], data: &[i8]) -> &mut Self {
-        assert_eq!(
-            shape.iter().product::<usize>(),
-            data.len(),
-            "shape/data mismatch writing `{name}`"
-        );
-        self.section_header(name, SnapshotDtype::I8, shape);
-        self.payload(data.iter().map(|&x| x as u8).collect());
-        self
+        self.section(name, SnapshotDtype::I8, shape, data.len(), |out| {
+            out.extend(data.iter().map(|&x| x as u8))
+        })
     }
 
     /// Appends a flat u64 vector (shape is its length).
     pub fn u64s(&mut self, name: &str, data: &[u64]) -> &mut Self {
-        self.section_header(name, SnapshotDtype::U64, &[data.len()]);
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for &x in data {
-            bytes.extend_from_slice(&x.to_le_bytes());
-        }
-        self.payload(bytes);
-        self
+        self.section(
+            name,
+            SnapshotDtype::U64,
+            &[data.len()],
+            data.len() * 8,
+            |out| {
+                for x in data {
+                    out.extend_from_slice(&x.to_le_bytes());
+                }
+            },
+        )
     }
 
     /// Appends a single u64 scalar.
@@ -325,16 +377,17 @@ impl SnapshotWriter {
         self.u64s(name, &[value])
     }
 
-    /// Assembles the final byte stream.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.sections.len() + 64);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.push(self.family);
-        Self::push_str(&mut out, &self.name);
-        out.extend_from_slice(&self.n_sections.to_le_bytes());
-        out.extend_from_slice(&self.sections);
-        out
+    /// Patches the section count into the header and hands the stream
+    /// over.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`sizing`](Self::sizing) writer, which holds no bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        assert!(self.sizing.is_none(), "a sizing writer has no stream");
+        self.bytes[self.count_at..self.count_at + 4]
+            .copy_from_slice(&self.n_sections.to_le_bytes());
+        self.bytes
     }
 }
 
@@ -595,8 +648,7 @@ impl<'a> SnapshotReader<'a> {
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<u8> {
-        let mut w = SnapshotWriter::new(3, "demo-model");
+    fn sample_sections(w: &mut SnapshotWriter) {
         w.u64_scalar("vocab", 17)
             .f32s(
                 "wx",
@@ -605,7 +657,24 @@ mod tests {
             )
             .i8s("codes", &[4], &[-127, 0, 1, 127])
             .u64s("dims", &[8, 16]);
+    }
+
+    fn sample() -> Vec<u8> {
+        let mut w = SnapshotWriter::new(3, "demo-model");
+        sample_sections(&mut w);
         w.finish()
+    }
+
+    #[test]
+    fn sizing_pass_predicts_the_stream_and_presized_writer_never_regrows() {
+        let mut sizing = SnapshotWriter::sizing(3, "demo-model");
+        sample_sections(&mut sizing);
+        assert_eq!(sizing.stream_len(), sample().len());
+        let mut w = SnapshotWriter::with_capacity(3, "demo-model", sizing.stream_len());
+        sample_sections(&mut w);
+        let bytes = w.finish();
+        assert_eq!(bytes, sample());
+        assert_eq!(bytes.capacity(), bytes.len(), "the stream regrew");
     }
 
     #[test]

@@ -110,7 +110,22 @@ impl<M: FrozenModel> DynamicBatcher<M> {
     /// Creates a batcher serving `model` with pruning threshold
     /// `threshold` (use the threshold the model was trained — or, for
     /// the quantized family, frozen — with).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` has a threshold baked into its datapath
+    /// ([`FrozenModel::baked_threshold`]) and `threshold` is not that
+    /// one. The check runs here, on the constructing thread, so a
+    /// misconfigured server fails before any shard worker exists.
     pub fn new(model: M, threshold: f32, policy: SkipPolicy) -> Self {
+        if let Some(baked) = model.baked_threshold() {
+            assert!(
+                threshold == baked,
+                "engine threshold {threshold} != frozen quantized threshold {baked}: the \
+                 quantized family bakes Eq. 5 into its pointwise datapath — configure the \
+                 engine with the freeze threshold"
+            );
+        }
         Self {
             model,
             pruner: StatePruner::new(threshold),
@@ -132,7 +147,8 @@ impl<M: FrozenModel> DynamicBatcher<M> {
     /// Derives the skip plan for pruned state lanes: the stored column
     /// indices of the zero-run offset encoding are the rows of `Wh` the
     /// next step must fetch (anchors included — saturated offsets cost a
-    /// fetch on hardware too).
+    /// fetch on hardware too). They are written into `active` (cleared
+    /// first, capacity reused); returns the anchor count.
     ///
     /// This is an allocation-free replay of
     /// [`OffsetEncoder::encode`](zskip_core::OffsetEncoder::encode) over
@@ -141,16 +157,6 @@ impl<M: FrozenModel> DynamicBatcher<M> {
     /// skipping saved. It is generic over the state scalar: "zero" is
     /// `0.0` for float lanes and code `0` for quantized lanes — the
     /// offset encoding and the symmetric quantizer agree on it.
-    pub fn skip_plan(&self, h: &StateLanes<M::State>) -> (Vec<usize>, usize) {
-        let mut active = Vec::with_capacity(h.cols());
-        let anchors = self.skip_plan_into(h, &mut active);
-        (active, anchors)
-    }
-
-    /// [`Self::skip_plan`] writing the stored column indices into a
-    /// caller-provided vector (cleared first, capacity reused) — the
-    /// allocation-free form the scratch-threaded step uses. Returns the
-    /// anchor count.
     pub fn skip_plan_into(&self, h: &StateLanes<M::State>, active: &mut Vec<usize>) -> usize {
         active.clear();
         let dh = h.cols();
@@ -359,11 +365,19 @@ mod tests {
                     .collect();
                 let encoded = OffsetEncoder::new(bits).encode(&lanes);
                 let reference: Vec<usize> = encoded.columns().iter().map(|c| c.index).collect();
-                let (active, anchors) = batcher.skip_plan(&h);
+                let mut active = Vec::new();
+                let anchors = batcher.skip_plan_into(&h, &mut active);
                 assert_eq!(active, reference, "bits={bits} sparsity={sparsity}");
                 assert_eq!(anchors, encoded.anchor_columns());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "engine threshold 0.2 != frozen quantized threshold 0.3")]
+    fn threshold_mismatch_is_rejected_loudly() {
+        let frozen = crate::weights::FrozenQuantizedCharLm::random(8, 6, 0.3, 1);
+        let _ = DynamicBatcher::new(frozen, 0.2, SkipPolicy::default());
     }
 
     #[test]
@@ -383,7 +397,8 @@ mod tests {
     fn zero_state_skips_almost_everything() {
         let b = tiny();
         let h = StateLanes::zeros(2, 12);
-        let (active, anchors) = b.skip_plan(&h);
+        let mut active = Vec::new();
+        let anchors = b.skip_plan_into(&h, &mut active);
         // All-zero state: only saturation anchors are fetched.
         assert_eq!(active.len(), anchors);
         assert!(active.len() <= 12 / 2);

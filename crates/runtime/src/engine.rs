@@ -272,6 +272,12 @@ pub struct Engine<M: FrozenModel = FrozenCharLm> {
 
 impl<M: FrozenModel> Engine<M> {
     /// Creates an engine serving `model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.max_batch` is zero, or if `model` bakes in a
+    /// pruning threshold other than `config.threshold`
+    /// ([`DynamicBatcher::new`]).
     pub fn new(model: M, config: EngineConfig) -> Self {
         assert!(config.max_batch > 0, "max_batch must be positive");
         Self {

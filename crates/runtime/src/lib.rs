@@ -11,14 +11,16 @@
 //!
 //! Three layers, all generic over the served model family:
 //!
-//! * [`FrozenModel`] + the frozen weights ([`FrozenCharLm`],
-//!   [`FrozenGruCharLm`], [`FrozenWordLm`], [`FrozenSeqClassifier`],
-//!   and the 8-bit [`FrozenQuantizedCharLm`], whose session state is
-//!   `i8` codes — [`FrozenModel::State`]) — inference-only parameter
-//!   bundles extracted from trained models via the
-//!   [`Freezable`](zskip_nn::Freezable) export (no grad buffers),
-//!   each exposing the family's `input_encode` / `recurrent_step` /
-//!   `head` arithmetic,
+//! * [`FrozenModel`] + the frozen weights: one [`Frozen`] type composed
+//!   of an input encoder, a recurrent cell and a head, with the five
+//!   served families as aliases ([`FrozenCharLm`], [`FrozenGruCharLm`],
+//!   [`FrozenWordLm`], [`FrozenSeqClassifier`], and the 8-bit
+//!   [`FrozenQuantizedCharLm`], whose session state is `i8` codes —
+//!   [`FrozenModel::State`]; see [`weights`] for the composition table)
+//!   — inference-only parameter bundles extracted from trained models
+//!   via the [`Freezable`](zskip_nn::Freezable) export (no grad
+//!   buffers), exposing the `input_encode` / `recurrent_step` / `head`
+//!   arithmetic,
 //! * [`DynamicBatcher`] — one batched recurrent step: packs many sessions
 //!   into a `B × dh` state matrix, derives the skip plan from the
 //!   zero-run offset encoding of the *previous* step's pruned state
@@ -83,8 +85,8 @@ pub use model::{
 };
 pub use snapshot::{ModelFamily, ModelSnapshot};
 pub use weights::{
-    FrozenCharLm, FrozenGru, FrozenGruCharLm, FrozenHead, FrozenLstm, FrozenQuantizedCharLm,
-    FrozenSeqClassifier, FrozenWordLm,
+    Embedding, Frozen, FrozenCharLm, FrozenGru, FrozenGruCharLm, FrozenHead, FrozenLstm,
+    FrozenQuantizedCharLm, FrozenSeqClassifier, FrozenWordLm, OneHot, QuantizedHead, ScalarInput,
 };
 // Re-exported so `EngineStats::stages` and `StepScratch::stages` are
 // usable without naming the telemetry crate.

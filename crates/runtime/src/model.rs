@@ -264,7 +264,7 @@ impl<S: StateScalar> std::ops::IndexMut<(usize, usize)> for StateLanes<S> {
 /// The skip plan for one batched recurrent step: which rows of `Wh` must
 /// be fetched, derived from the zero-run offset encoding of the previous
 /// step's jointly-pruned state (see
-/// [`DynamicBatcher::skip_plan`](crate::DynamicBatcher::skip_plan)).
+/// [`DynamicBatcher::skip_plan_into`](crate::DynamicBatcher::skip_plan_into)).
 #[derive(Clone, Debug)]
 pub struct SkipPlan {
     /// Stored (fetched) row indices of `Wh`, strictly increasing.
@@ -289,27 +289,10 @@ impl SkipPlan {
         }
     }
 
-    /// The f32 recurrent product under this plan — the one place the
-    /// skip decision is applied for the float families.
-    pub fn matmul(&self, h: &Matrix, wh: &Matrix) -> Matrix {
-        if self.use_sparse {
-            h.matmul_sparse_rows(wh, &self.active)
-        } else {
-            h.matmul(wh)
-        }
-    }
-
-    /// [`Self::matmul`] directly on `f32` state lanes — the batched step
-    /// takes this entry so no `Matrix` copy of the batch is made.
-    pub fn matmul_lanes(&self, h: &StateLanes<f32>, wh: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_lanes_into(h, wh, &mut out);
-        out
-    }
-
-    /// [`Self::matmul_lanes`] writing into a caller-provided matrix —
-    /// the allocation-free form the scratch-threaded step uses. `out` is
-    /// resized to `h.rows() × wh.cols()` reusing its storage.
+    /// The f32 recurrent product under this plan, written into a
+    /// caller-provided matrix — the one place the skip decision is
+    /// applied for the float cells. `out` is resized to
+    /// `h.rows() × wh.cols()` reusing its storage.
     pub fn matmul_lanes_into(&self, h: &StateLanes<f32>, wh: &Matrix, out: &mut Matrix) {
         if self.use_sparse {
             Matrix::matmul_sparse_rows_from_into(h.as_slice(), h.rows(), wh, &self.active, out);
@@ -318,21 +301,13 @@ impl SkipPlan {
         }
     }
 
-    /// The integer recurrent accumulators under this plan: `lanes`
+    /// The integer recurrent accumulators under this plan: `h.rows()`
     /// stored-code state vectors against a quantized `Wh`
-    /// (`rows × gate-width`), returning `lanes × gate-width` raw `i32`
-    /// accumulators — the quantized family's counterpart of
-    /// [`SkipPlan::matmul`]. Bit-identical either way the decision
-    /// falls: integer addition is associative and skipped codes are
-    /// exact zeros.
-    pub fn gemm_t_i32(&self, h: &StateLanes<i8>, wh: &zskip_tensor::QMatrix) -> Vec<i32> {
-        let mut out = Vec::new();
-        self.gemm_t_i32_into(h, wh, &mut out);
-        out
-    }
-
-    /// [`Self::gemm_t_i32`] writing into a caller-provided accumulator
-    /// vector — the allocation-free form the scratch-threaded step uses.
+    /// (`rows × gate-width`), written as `lanes × gate-width` raw `i32`
+    /// accumulators into a caller-provided vector — the quantized cell's
+    /// counterpart of [`SkipPlan::matmul_lanes_into`]. Bit-identical
+    /// either way the decision falls: integer addition is associative
+    /// and skipped codes are exact zeros.
     pub fn gemm_t_i32_into(
         &self,
         h: &StateLanes<i8>,
@@ -537,6 +512,15 @@ pub trait FrozenModel: Clone + Send + Sync + 'static {
     /// The input domain, detached from the weights — serving layers keep
     /// this `Copy` descriptor instead of an extra model clone.
     fn input_spec(&self) -> Self::Spec;
+
+    /// The pruning threshold frozen into the model's datapath, if it has
+    /// one (the quantized cell prunes inside its pointwise stage, so Eq. 5
+    /// is part of its weights). [`DynamicBatcher::new`](crate::DynamicBatcher::new)
+    /// refuses any other threshold: it would silently serve a different
+    /// model than the one frozen.
+    fn baked_threshold(&self) -> Option<f32> {
+        None
+    }
 
     /// Whether `input` may enter a session queue. Rejected inputs
     /// surface as

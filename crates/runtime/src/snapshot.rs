@@ -1,4 +1,4 @@
-//! Frozen-model snapshots: every `FrozenModel` family serialized to the
+//! Frozen-model snapshots: every `FrozenModel` family written to the
 //! checksummed [`zskip_tensor::snapshot`] container and reconstructed
 //! bit-exactly.
 //!
@@ -18,7 +18,6 @@
 //! can [`peek_family`] and dispatch to the right `FrozenModel` type
 //! before touching a single tensor.
 
-use crate::weights::{FrozenGru, FrozenHead, FrozenLstm};
 use zskip_tensor::lut::Activation;
 use zskip_tensor::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use zskip_tensor::{ActivationLut, GateActivations, GateLuts, Matrix, QMatrix, Quantizer};
@@ -77,6 +76,16 @@ impl ModelFamily {
             ModelFamily::QuantizedCharLm => "quantized-char-lm",
         }
     }
+
+    /// Name of the scalar section every stream of this family leads
+    /// with: the head's output width, which the language models store as
+    /// their vocabulary and the classifier as its class count.
+    pub fn width_scalar(self) -> &'static str {
+        match self {
+            ModelFamily::SeqClassifier => "classes",
+            _ => "vocab",
+        }
+    }
 }
 
 impl std::fmt::Display for ModelFamily {
@@ -95,10 +104,12 @@ pub fn peek_family(bytes: &[u8]) -> Result<ModelFamily, SnapshotError> {
     })
 }
 
-/// Save/load to the checksummed snapshot container, implemented by all
-/// five frozen families.
+/// Save/load to the checksummed snapshot container — the one
+/// persistence format for frozen models — implemented once, for every
+/// registered [`Frozen`](crate::Frozen) composition
+/// ([`SnapshotFamily`](crate::weights::SnapshotFamily)).
 ///
-/// Implementations only define the section layout
+/// The implementation only defines the section layout
 /// ([`write_sections`](Self::write_sections) /
 /// [`read_sections`](Self::read_sections)); framing, family dispatch,
 /// checksum verification and trailing-byte rejection are provided.
@@ -113,7 +124,7 @@ pub trait ModelSnapshot: Sized {
     /// Reconstructs the model from its sections, bit-exactly.
     fn read_sections(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
 
-    /// Serializes to the container format. A sizing pass first, so the
+    /// Encodes to the container format. A sizing pass first, so the
     /// stream is one exact allocation: no regrowth, no copies left
     /// behind in the heap of a process that goes on to serve.
     fn to_snapshot_bytes(&self) -> Vec<u8> {
@@ -125,7 +136,7 @@ pub trait ModelSnapshot: Sized {
         w.finish()
     }
 
-    /// Deserializes, verifying magic, version, family tag, every
+    /// Decodes, verifying magic, version, family tag, every
     /// per-tensor checksum, and that no bytes trail the last section.
     fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::open(bytes)?;
@@ -154,7 +165,7 @@ pub trait ModelSnapshot: Sized {
     }
 }
 
-fn invalid(tensor: &str, reason: impl Into<String>) -> SnapshotError {
+pub(crate) fn invalid(tensor: &str, reason: impl Into<String>) -> SnapshotError {
     SnapshotError::Invalid {
         tensor: tensor.to_string(),
         reason: reason.into(),
@@ -239,98 +250,6 @@ pub(crate) fn read_acts(
             format!("unknown activations mode {other}"),
         )),
     }
-}
-
-pub(crate) fn write_lstm(w: &mut SnapshotWriter, prefix: &str, lstm: &FrozenLstm) {
-    write_matrix(w, &format!("{prefix}.wx"), lstm.wx());
-    write_matrix(w, &format!("{prefix}.wh"), lstm.wh());
-    w.f32s(&format!("{prefix}.bias"), &[lstm.bias().len()], lstm.bias());
-    write_acts(w, &format!("{prefix}.acts"), lstm.activations());
-}
-
-pub(crate) fn read_lstm(
-    r: &mut SnapshotReader<'_>,
-    prefix: &str,
-) -> Result<FrozenLstm, SnapshotError> {
-    let wx = read_matrix(r, &format!("{prefix}.wx"))?;
-    let wh = read_matrix(r, &format!("{prefix}.wh"))?;
-    let (_, bias) = r.f32s(&format!("{prefix}.bias"))?;
-    let acts = read_acts(r, &format!("{prefix}.acts"))?;
-    let (input, hidden) = (wx.rows(), wh.rows());
-    if wx.cols() != 4 * hidden || wh.cols() != 4 * hidden || bias.len() != 4 * hidden {
-        return Err(invalid(
-            prefix,
-            format!(
-                "inconsistent lstm shapes: wx {}x{}, wh {}x{}, bias {}",
-                wx.rows(),
-                wx.cols(),
-                wh.rows(),
-                wh.cols(),
-                bias.len()
-            ),
-        ));
-    }
-    Ok(FrozenLstm::with_activations(
-        input, hidden, wx, wh, bias, acts,
-    ))
-}
-
-pub(crate) fn write_gru(w: &mut SnapshotWriter, prefix: &str, gru: &FrozenGru) {
-    write_matrix(w, &format!("{prefix}.wx"), gru.wx());
-    write_matrix(w, &format!("{prefix}.wh"), gru.wh());
-    w.f32s(&format!("{prefix}.bias"), &[gru.bias().len()], gru.bias());
-    write_acts(w, &format!("{prefix}.acts"), gru.activations());
-}
-
-pub(crate) fn read_gru(
-    r: &mut SnapshotReader<'_>,
-    prefix: &str,
-) -> Result<FrozenGru, SnapshotError> {
-    let wx = read_matrix(r, &format!("{prefix}.wx"))?;
-    let wh = read_matrix(r, &format!("{prefix}.wh"))?;
-    let (_, bias) = r.f32s(&format!("{prefix}.bias"))?;
-    let acts = read_acts(r, &format!("{prefix}.acts"))?;
-    let (input, hidden) = (wx.rows(), wh.rows());
-    if wx.cols() != 3 * hidden || wh.cols() != 3 * hidden || bias.len() != 3 * hidden {
-        return Err(invalid(
-            prefix,
-            format!(
-                "inconsistent gru shapes: wx {}x{}, wh {}x{}, bias {}",
-                wx.rows(),
-                wx.cols(),
-                wh.rows(),
-                wh.cols(),
-                bias.len()
-            ),
-        ));
-    }
-    Ok(FrozenGru::with_activations(
-        input, hidden, wx, wh, bias, acts,
-    ))
-}
-
-pub(crate) fn write_head(w: &mut SnapshotWriter, prefix: &str, head: &FrozenHead) {
-    write_matrix(w, &format!("{prefix}.w"), head.weight());
-    w.f32s(&format!("{prefix}.b"), &[head.bias().len()], head.bias());
-}
-
-pub(crate) fn read_head(
-    r: &mut SnapshotReader<'_>,
-    prefix: &str,
-) -> Result<FrozenHead, SnapshotError> {
-    let weight = read_matrix(r, &format!("{prefix}.w"))?;
-    let (_, bias) = r.f32s(&format!("{prefix}.b"))?;
-    if bias.len() != weight.cols() {
-        return Err(invalid(
-            prefix,
-            format!(
-                "head bias has {} entries, weight has {} columns",
-                bias.len(),
-                weight.cols()
-            ),
-        ));
-    }
-    Ok(FrozenHead::new(weight, bias))
 }
 
 pub(crate) fn write_quantizer(w: &mut SnapshotWriter, name: &str, q: Quantizer) {

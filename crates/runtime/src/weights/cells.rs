@@ -1,67 +1,99 @@
-//! Frozen recurrent cells and the shared classifier head.
+//! The frozen recurrent cells: the shared gate-weight bundle, the LSTM
+//! and GRU step bodies over it, and the 8-bit
+//! [`zskip_core::QuantizedLstm`] as a served cell.
 //!
-//! The per-family frozen models compose these: every LSTM family
-//! (char-LM, word-LM, sequential classifier) shares one recurrent-step
-//! implementation over [`FrozenLstm`], the GRU family uses
-//! [`FrozenGru`], and all heads are a [`FrozenHead`]. Each step
-//! replicates the corresponding `zskip-nn` training cell operation for
-//! operation — including accumulation order — so frozen serving is
-//! bit-identical to the training forward pass.
+//! Each step replicates the corresponding reference cell operation for
+//! operation — including accumulation order and where the bias joins —
+//! so frozen serving is bit-identical to the training forward pass
+//! (f32 cells) and to the accelerator's golden model (i8 cell).
 
+use super::{DenseInputCell, RecurrentCell, TensorBag};
 use crate::model::{StateLanes, StepScratch};
-use serde::{Deserialize, Serialize};
-use zskip_core::StatePruner;
+use crate::snapshot::{self, invalid};
+use zskip_core::{QuantizedLstm, StatePruner};
 use zskip_telemetry::Stage;
-use zskip_tensor::{sigmoid, tanh, GateActivations, Matrix};
+use zskip_tensor::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use zskip_tensor::{sigmoid, tanh, GateActivations, GateLuts, Matrix, SeedableStream};
 
-/// Frozen weights of one LSTM cell (gate order `[f, i, o, g]`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FrozenLstm {
-    input: usize,
-    hidden: usize,
+/// Frozen weights of one gated f32 cell with `G` gate planes: `Wx`
+/// (`dx × G·dh`), `Wh` (`dh × G·dh` — the matrix the sparse kernel skips
+/// rows of), the bias (`G·dh`) and the [`GateActivations`] contract the
+/// cell trained with. [`FrozenLstm`] and [`FrozenGru`] are this bundle
+/// at `G = 4` / `G = 3`; only their step bodies differ.
+#[derive(Clone, Debug)]
+pub struct FrozenGates<const G: usize> {
     wx: Matrix,
     wh: Matrix,
     bias: Vec<f32>,
     acts: GateActivations,
 }
 
-impl FrozenLstm {
-    /// Bundles LSTM weights at serving shape, with smooth gate
-    /// activations.
+/// Frozen weights of one LSTM cell (gate order `[f, i, o, g]`).
+pub type FrozenLstm = FrozenGates<4>;
+
+/// Frozen weights of one GRU cell (gate order `[z, r, n]`); its only
+/// memory is the pruned hidden state, so sessions carry no cell state.
+pub type FrozenGru = FrozenGates<3>;
+
+impl<const G: usize> FrozenGates<G> {
+    /// Bundles gate weights at serving shape. The tables in `acts` must
+    /// be the exact ones the cell trained with — freezers clone them
+    /// from the training cell, never rebuild them.
     ///
     /// # Panics
     ///
-    /// Panics if any shape disagrees with `input`/`hidden`.
-    pub fn new(input: usize, hidden: usize, wx: Matrix, wh: Matrix, bias: Vec<f32>) -> Self {
-        Self::with_activations(input, hidden, wx, wh, bias, GateActivations::Smooth)
+    /// Panics if the shapes disagree (`dx`, `dh` are the row counts of
+    /// `wx`, `wh`).
+    pub fn with_activations(wx: Matrix, wh: Matrix, bias: Vec<f32>, acts: GateActivations) -> Self {
+        Self::checked(wx, wh, bias, acts).unwrap_or_else(|reason| panic!("{reason}"))
     }
 
-    /// [`Self::new`] under an explicit [`GateActivations`] contract. The
-    /// tables must be the exact ones the cell trained with — freezers
-    /// clone them from the training cell, never rebuild them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shape disagrees with `input`/`hidden`.
-    pub fn with_activations(
-        input: usize,
-        hidden: usize,
+    fn checked(
         wx: Matrix,
         wh: Matrix,
         bias: Vec<f32>,
         acts: GateActivations,
-    ) -> Self {
-        assert_eq!((wx.rows(), wx.cols()), (input, 4 * hidden), "Wx shape");
-        assert_eq!((wh.rows(), wh.cols()), (hidden, 4 * hidden), "Wh shape");
-        assert_eq!(bias.len(), 4 * hidden, "bias shape");
-        Self {
-            input,
-            hidden,
-            wx,
-            wh,
-            bias,
-            acts,
+    ) -> Result<Self, String> {
+        let width = G * wh.rows();
+        if wx.cols() != width || wh.cols() != width || bias.len() != width {
+            return Err(format!(
+                "inconsistent {G}-gate shapes: wx {}x{}, wh {}x{}, bias {}",
+                wx.rows(),
+                wx.cols(),
+                wh.rows(),
+                wh.cols(),
+                bias.len()
+            ));
         }
+        Ok(Self { wx, wh, bias, acts })
+    }
+
+    /// Takes `{prefix}.wx`, `{prefix}.wh`, `{prefix}.b` off a training
+    /// export, in that order.
+    pub(crate) fn take(
+        bag: &mut TensorBag,
+        prefix: &str,
+        input: usize,
+        hidden: usize,
+        acts: GateActivations,
+    ) -> Self {
+        let wx = bag.take_matrix(&format!("{prefix}.wx"), input, G * hidden);
+        let wh = bag.take_matrix(&format!("{prefix}.wh"), hidden, G * hidden);
+        let bias = bag.take_vec(&format!("{prefix}.b"), G * hidden);
+        Self::with_activations(wx, wh, bias, acts)
+    }
+
+    /// Bench weights: `Wx` then `Wh` drawn uniformly in `±1/√dh`, zero
+    /// bias.
+    pub(crate) fn random(
+        input: usize,
+        hidden: usize,
+        acts: GateActivations,
+        rng: &mut SeedableStream,
+    ) -> Self {
+        let wx = super::random_matrix(input, G * hidden, hidden, rng);
+        let wh = super::random_matrix(hidden, G * hidden, hidden, rng);
+        Self::with_activations(wx, wh, vec![0.0; G * hidden], acts)
     }
 
     /// The gate-activation contract this cell serves under.
@@ -69,30 +101,74 @@ impl FrozenLstm {
         &self.acts
     }
 
-    /// Input dimension `dx`.
-    pub fn input_dim(&self) -> usize {
-        self.input
-    }
-
-    /// Hidden dimension `dh`.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input weights `Wx` (`dx × 4dh`).
+    /// Input weights `Wx` (`dx × G·dh`).
     pub fn wx(&self) -> &Matrix {
         &self.wx
     }
 
-    /// Recurrent weights `Wh` (`dh × 4dh`) — the matrix the sparse kernel
-    /// skips rows of.
+    /// Recurrent weights `Wh` (`dh × G·dh`) — the matrix the sparse
+    /// kernel skips rows of.
     pub fn wh(&self) -> &Matrix {
         &self.wh
     }
 
-    /// Bias (`4dh`).
+    /// Bias (`G·dh`).
     pub fn bias(&self) -> &[f32] {
         &self.bias
+    }
+
+    /// One-hot input ⇒ `Wx·x` degenerates to a row lookup (the paper's
+    /// "implemented as a look-up table"). Bit-identical to the GEMM:
+    /// multiplying by 1.0 is exact.
+    fn lookup_rows(&self, rows: &[usize], zx: &mut Matrix) {
+        zx.resize_for_overwrite(rows.len(), self.wx.cols());
+        for (r, &row) in rows.iter().enumerate() {
+            zx.row_mut(r).copy_from_slice(self.wx.row(row));
+        }
+    }
+
+    /// The training cell's dense `x·Wx` GEMM on the plane staged in
+    /// `scratch.embed`.
+    fn project(&self, scratch: &mut StepScratch<f32>) {
+        Matrix::matmul_from_rows_into(
+            scratch.embed.as_slice(),
+            scratch.embed.rows(),
+            &self.wx,
+            &mut scratch.zx,
+        );
+    }
+
+    fn write(&self, w: &mut SnapshotWriter, prefix: &str) {
+        snapshot::write_matrix(w, &format!("{prefix}.wx"), &self.wx);
+        snapshot::write_matrix(w, &format!("{prefix}.wh"), &self.wh);
+        w.f32s(&format!("{prefix}.bias"), &[self.bias.len()], &self.bias);
+        snapshot::write_acts(w, &format!("{prefix}.acts"), &self.acts);
+    }
+
+    fn read(r: &mut SnapshotReader<'_>, prefix: &str) -> Result<Self, SnapshotError> {
+        let wx = snapshot::read_matrix(r, &format!("{prefix}.wx"))?;
+        let wh = snapshot::read_matrix(r, &format!("{prefix}.wh"))?;
+        let (_, bias) = r.f32s(&format!("{prefix}.bias"))?;
+        let acts = snapshot::read_acts(r, &format!("{prefix}.acts"))?;
+        Self::checked(wx, wh, bias, acts).map_err(|reason| invalid(prefix, reason))
+    }
+}
+
+impl RecurrentCell for FrozenLstm {
+    type State = f32;
+
+    fn input_dim(&self) -> usize {
+        self.wx.rows()
+    }
+
+    fn hidden_dim(&self) -> usize {
+        self.wh.rows()
+    }
+
+    /// The bias-free x-side: `LstmCell::forward` adds the bias *after*
+    /// the recurrent merge, in the step.
+    fn encode_rows(&self, rows: &[usize], scratch: &mut StepScratch<f32>) {
+        self.lookup_rows(rows, &mut scratch.zx);
     }
 
     /// One batched LSTM step in the caller's [`StepScratch`],
@@ -120,14 +196,14 @@ impl FrozenLstm {
     /// stays bit-identical while the pointwise stage vectorizes. The
     /// multiply/add pointwise around them runs over fused slice
     /// iterators, which the compiler vectorizes in both modes.
-    pub fn recurrent_step_pruned(
+    fn step(
         &self,
         h: &StateLanes<f32>,
         c_prev: &StateLanes<f32>,
         pruner: &StatePruner,
         scratch: &mut StepScratch<f32>,
     ) {
-        let dh = self.hidden;
+        let dh = self.wh.rows();
         let b = h.rows();
         scratch.plan.matmul_lanes_into(h, &self.wh, &mut scratch.zh);
         scratch.stages.lap(Stage::RecurrentGemm);
@@ -196,114 +272,73 @@ impl FrozenLstm {
         // then prunes in place).
         pruner.prune_slice(scratch.h_next.as_mut_slice());
     }
+
+    fn write_sections(&self, w: &mut SnapshotWriter) {
+        self.write(w, "lstm");
+    }
+
+    fn read_sections(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Self::read(r, "lstm")
+    }
 }
 
-/// Frozen weights of one GRU cell (gate order `[z, r, n]`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FrozenGru {
-    input: usize,
-    hidden: usize,
-    wx: Matrix,
-    wh: Matrix,
-    bias: Vec<f32>,
-    acts: GateActivations,
+impl DenseInputCell for FrozenLstm {
+    fn encode_dense(&self, scratch: &mut StepScratch<f32>) {
+        self.project(scratch);
+    }
 }
 
-impl FrozenGru {
-    /// Bundles GRU weights at serving shape, with smooth gate
-    /// activations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shape disagrees with `input`/`hidden`.
-    pub fn new(input: usize, hidden: usize, wx: Matrix, wh: Matrix, bias: Vec<f32>) -> Self {
-        Self::with_activations(input, hidden, wx, wh, bias, GateActivations::Smooth)
+impl RecurrentCell for FrozenGru {
+    type State = f32;
+
+    fn input_dim(&self) -> usize {
+        self.wx.rows()
     }
 
-    /// [`Self::new`] under an explicit [`GateActivations`] contract. The
-    /// tables must be the exact ones the cell trained with — freezers
-    /// clone them from the training cell, never rebuild them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shape disagrees with `input`/`hidden`.
-    pub fn with_activations(
-        input: usize,
-        hidden: usize,
-        wx: Matrix,
-        wh: Matrix,
-        bias: Vec<f32>,
-        acts: GateActivations,
-    ) -> Self {
-        assert_eq!((wx.rows(), wx.cols()), (input, 3 * hidden), "Wx shape");
-        assert_eq!((wh.rows(), wh.cols()), (hidden, 3 * hidden), "Wh shape");
-        assert_eq!(bias.len(), 3 * hidden, "bias shape");
-        Self {
-            input,
-            hidden,
-            wx,
-            wh,
-            bias,
-            acts,
-        }
+    fn hidden_dim(&self) -> usize {
+        self.wh.rows()
     }
 
-    /// The gate-activation contract this cell serves under.
-    pub fn activations(&self) -> &GateActivations {
-        &self.acts
+    /// The GRU keeps no cell state.
+    fn cell_dim(&self) -> usize {
+        0
     }
 
-    /// Input dimension `dx`.
-    pub fn input_dim(&self) -> usize {
-        self.input
-    }
-
-    /// Hidden dimension `dh`.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input weights `Wx` (`dx × 3dh`).
-    pub fn wx(&self) -> &Matrix {
-        &self.wx
-    }
-
-    /// Recurrent weights `Wh` (`dh × 3dh`).
-    pub fn wh(&self) -> &Matrix {
-        &self.wh
-    }
-
-    /// Bias (`3dh`).
-    pub fn bias(&self) -> &[f32] {
-        &self.bias
+    /// Row lookup **plus the bias**: `GruCell::forward` folds the bias
+    /// into the x-side before merging the recurrent contribution, so the
+    /// frozen path must too.
+    fn encode_rows(&self, rows: &[usize], scratch: &mut StepScratch<f32>) {
+        self.lookup_rows(rows, &mut scratch.zx);
+        scratch.zx.add_row_broadcast(&self.bias);
     }
 
     /// One batched GRU step in the caller's [`StepScratch`], replicating
     /// `zskip_nn::GruCell::forward` bit-for-bit, with family-side
-    /// threshold pruning applied to the raw next state — mirroring
-    /// [`FrozenLstm::recurrent_step_pruned`].
+    /// threshold pruning applied to the raw next state — mirroring the
+    /// LSTM step.
     ///
     /// Note the family difference baked into the training cell: the bias
     /// is added to the x-side **before** the recurrent contribution is
     /// merged per gate, so `scratch.zx` must already carry it
-    /// (`B × 3dh`, see the family's `input_encode`). The recurrent
+    /// (`B × 3dh`, see `encode_rows` / `encode_dense`). The recurrent
     /// product lands in `scratch.zh`, the `[z | r | n]` gate planes in
     /// `scratch.gates`, the pruned next hidden state in
-    /// `scratch.h_next`; the GRU carries no cell state and leaves
-    /// `scratch.c_next` alone. The state is `f32` lanes borrowed
+    /// `scratch.h_next`; the GRU carries no cell state, so
+    /// `scratch.c_next` is left zero-width. The state is `f32` lanes borrowed
     /// straight from the batch, and a steady-state call allocates
     /// nothing. The gate non-linearities follow the cell's
     /// [`GateActivations`] contract: scalar `exp`-based calls under
     /// `Smooth`, the shared tables' batched kernels under `Lut` — both
     /// bit-pinned to the training cell; the surrounding pointwise runs
     /// over fused slice iterators.
-    pub fn recurrent_step_pruned(
+    fn step(
         &self,
         h: &StateLanes<f32>,
+        _c: &StateLanes<f32>,
         pruner: &StatePruner,
         scratch: &mut StepScratch<f32>,
     ) {
-        let dh = self.hidden;
+        let dh = self.wh.rows();
         let b = h.rows();
         scratch.plan.matmul_lanes_into(h, &self.wh, &mut scratch.zh);
         scratch.stages.lap(Stage::RecurrentGemm);
@@ -356,56 +391,119 @@ impl FrozenGru {
             }
         }
         pruner.prune_slice(scratch.h_next.as_mut_slice());
+        scratch.c_next.resize(h.rows(), 0);
+    }
+
+    fn write_sections(&self, w: &mut SnapshotWriter) {
+        self.write(w, "gru");
+    }
+
+    fn read_sections(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Self::read(r, "gru")
     }
 }
 
-/// Frozen classifier head: `logits = hp·W + b`, replicating
-/// `zskip_nn::Linear::forward`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FrozenHead {
-    w: Matrix,
-    b: Vec<f32>,
+impl DenseInputCell for FrozenGru {
+    fn encode_dense(&self, scratch: &mut StepScratch<f32>) {
+        self.project(scratch);
+        scratch.zx.add_row_broadcast(&self.bias);
+    }
 }
 
-impl FrozenHead {
-    /// Bundles head weights (`W : dh × out`, `b : out`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != w.cols()`.
-    pub fn new(w: Matrix, b: Vec<f32>) -> Self {
-        assert_eq!(b.len(), w.cols(), "head bias shape");
-        Self { w, b }
+/// The golden integer cell the accelerator's `FunctionalTile` is verified
+/// bit-for-bit against, served as is: `i8 × i8 → i32` gate accumulators,
+/// LUT non-linearities, 8-bit state storage. Sessions carry `i8` codes
+/// between steps, exactly as states live in 8-bit DRAM between timesteps
+/// on the hardware. The only thing the runtime adds is the **batched,
+/// skip-aware accumulator** under the engine's
+/// [`SkipPlan`](crate::SkipPlan), which is bit-free because integer
+/// addition is associative and a code-0 unit contributes exact zeros.
+impl RecurrentCell for QuantizedLstm {
+    type State = i8;
+
+    fn input_dim(&self) -> usize {
+        self.input_dim()
     }
 
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.w.cols()
+    fn hidden_dim(&self) -> usize {
+        self.hidden_dim()
     }
 
-    /// Head weights (`dh × out`).
-    pub fn weight(&self) -> &Matrix {
-        &self.w
+    /// Eq. 5 is part of the quantized pointwise datapath (applied to the
+    /// real value before re-quantization), so the threshold is frozen in.
+    fn baked_threshold(&self) -> Option<f32> {
+        Some(self.threshold())
     }
 
-    /// Head bias (`out`).
-    pub fn bias(&self) -> &[f32] {
-        &self.b
+    /// Raw x-side `i32` accumulators, carried as `f32` (exactly
+    /// representable, so the round-trip through the `Matrix` container
+    /// is lossless): the cell's one-hot row lookup,
+    /// [`QuantizedLstm::one_hot_accumulators_into`], per lane.
+    fn encode_rows(&self, rows: &[usize], scratch: &mut StepScratch<i8>) {
+        scratch
+            .zx
+            .resize_for_overwrite(rows.len(), 4 * self.hidden_dim());
+        for (r, &tok) in rows.iter().enumerate() {
+            self.one_hot_accumulators_into(tok, scratch.zx.row_mut(r));
+        }
     }
 
-    /// Applies the head to a batch of pruned states.
-    pub fn forward(&self, hp: &Matrix) -> Matrix {
-        let mut logits = hp.matmul(&self.w);
-        logits.add_row_broadcast(&self.b);
-        logits
+    /// One batched quantized step: the skip-aware integer accumulator
+    /// feeds the reference's batched post-GEMM stage
+    /// ([`QuantizedLstm::step_lanes`]), so each lane is bit-identical to
+    /// [`QuantizedLstm::step`] on that lane's codes (proptested in
+    /// `tests/proptests.rs`). The cell prunes at its own baked threshold;
+    /// [`DynamicBatcher::new`](crate::DynamicBatcher::new) has checked
+    /// that `_pruner` carries the same one.
+    fn step(
+        &self,
+        h: &StateLanes<i8>,
+        c: &StateLanes<i8>,
+        _pruner: &StatePruner,
+        scratch: &mut StepScratch<i8>,
+    ) {
+        scratch.plan.gemm_t_i32_into(h, self.wh(), &mut scratch.acc);
+        scratch.stages.lap(Stage::RecurrentGemm);
+
+        // Every state code is written by the step — no zero-fill needed.
+        scratch.h_next.resize_for_overwrite(c.rows(), c.cols());
+        scratch.c_next.resize_for_overwrite(c.rows(), c.cols());
+        self.step_lanes(
+            scratch.zx.as_slice(),
+            &scratch.acc,
+            c.as_slice(),
+            scratch.h_next.as_mut_slice(),
+            scratch.c_next.as_mut_slice(),
+        );
     }
 
-    /// [`Self::forward`] on `f32` state lanes, copy-free, writing into a
-    /// caller-provided matrix — the allocation-free form the
-    /// scratch-threaded step uses. `out` is resized to `B × output_dim`
-    /// reusing its storage.
-    pub fn forward_lanes_into(&self, hp: &StateLanes<f32>, out: &mut Matrix) {
-        Matrix::matmul_from_rows_into(hp.as_slice(), hp.rows(), &self.w, out);
-        out.add_row_broadcast(&self.b);
+    fn write_sections(&self, w: &mut SnapshotWriter) {
+        snapshot::write_qmatrix(w, "q.wx", self.wx());
+        snapshot::write_qmatrix(w, "q.wh", self.wh());
+        w.f32s("q.bias", &[self.bias().len()], self.bias());
+        snapshot::write_quantizer(w, "q.x_quant.step", self.x_quantizer());
+        snapshot::write_quantizer(w, "q.h_quant.step", self.h_quantizer());
+        snapshot::write_quantizer(w, "q.c_quant.step", self.c_quantizer());
+        let luts = GateLuts::new(self.sigmoid_lut().clone(), self.tanh_lut().clone());
+        snapshot::write_gate_luts(w, "q.luts", &luts);
+        snapshot::write_f32_scalar(w, "q.threshold", self.threshold());
+    }
+
+    fn read_sections(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let wx = snapshot::read_qmatrix(r, "q.wx")?;
+        let wh = snapshot::read_qmatrix(r, "q.wh")?;
+        let (_, bias) = r.f32s("q.bias")?;
+        let x_quant = snapshot::read_quantizer(r, "q.x_quant.step")?;
+        let h_quant = snapshot::read_quantizer(r, "q.h_quant.step")?;
+        let c_quant = snapshot::read_quantizer(r, "q.c_quant.step")?;
+        let luts = snapshot::read_gate_luts(r, "q.luts")?;
+        let threshold = snapshot::read_f32_scalar(r, "q.threshold")?;
+        wh.check_gemm_t_acc()
+            .map_err(|reason| invalid("q.wh.codes", reason))?;
+        let (dx, dh) = (wx.rows(), wh.rows());
+        QuantizedLstm::from_parts(
+            dx, dh, wx, wh, bias, x_quant, h_quant, c_quant, luts, threshold,
+        )
+        .map_err(|reason| invalid("q", reason))
     }
 }

@@ -18,15 +18,15 @@
 //!    [`SessionId`] is ever delivered or resolved.
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use zskip_core::{QuantizedLstm, StatePruner};
 use zskip_nn::models::{CarryState, CharLm, GruCharLm, SeqClassifier, WordLm};
-use zskip_nn::StateTransform;
+use zskip_nn::{GruCell, Linear, ParamVisitor, Parameterized, StateTransform};
 use zskip_runtime::{
-    BatchStep, DynamicBatcher, Engine, EngineConfig, EngineError, FrozenCharLm, FrozenGruCharLm,
-    FrozenModel, FrozenQuantizedCharLm, FrozenSeqClassifier, FrozenWordLm, HeadScratch, SessionId,
-    SkipPolicy, StateLanes,
+    BatchStep, DynamicBatcher, Embedding, Engine, EngineConfig, EngineError, Frozen, FrozenCharLm,
+    FrozenGru, FrozenGruCharLm, FrozenHead, FrozenModel, FrozenQuantizedCharLm,
+    FrozenSeqClassifier, FrozenWordLm, HeadScratch, ModelSnapshot, SessionId, SkipPolicy,
+    StateLanes,
 };
 use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 
@@ -469,6 +469,53 @@ proptest! {
         engine_replays_reference(f, threshold, &tokens, &expected, "quantized");
     }
 
+    /// A sixth composition nobody wrote a family for: a GRU word-LM,
+    /// `Frozen<Embedding, FrozenGru, FrozenHead>`, assembled here from
+    /// `zskip-nn` parts and served through the unchanged `Engine`. Every
+    /// logit is pinned to `Embedding::forward → GruCell::forward →
+    /// StatePruner::apply → Linear::forward` — the proof that the
+    /// encoder/cell seam sits where the cells need it (the GRU's dense
+    /// x-side carries the bias; the LSTM's does not).
+    #[test]
+    fn gru_word_lm_composition_matches_nn_parts_bitwise(
+        seed in 0u64..1000,
+        vocab in 6usize..40,
+        emb in 2usize..12,
+        hidden in 2usize..24,
+        steps in 1usize..8,
+        threshold in prop_oneof![Just(0.0f32), 0.0f32..0.6],
+        lut in any::<bool>(),
+    ) {
+        let acts = if lut { GateActivations::lut_f32() } else { GateActivations::Smooth };
+        let mut rng = SeedableStream::new(seed);
+        let embedding = zskip_nn::Embedding::new(vocab, emb, &mut rng);
+        let mut cell = GruCell::with_activations(emb, hidden, acts, &mut rng);
+        // A fresh cell's bias is zero; a trained one's is not, and the
+        // bias is what tells the x-side seam apart.
+        cell.visit_params(&mut RandomBias(&mut rng));
+        let linear = Linear::new(hidden, vocab, &mut rng);
+        let table = embedding.forward(&(0..vocab).collect::<Vec<_>>());
+        let f = Frozen::new(
+            Embedding { table },
+            FrozenGru::with_activations(
+                cell.wx().clone(),
+                cell.wh().clone(),
+                cell.bias().to_vec(),
+                cell.activations().clone(),
+            ),
+            FrozenHead::new(linear.weight().clone(), linear.bias().to_vec()),
+        );
+        let tokens: Vec<usize> = (0..steps).map(|_| rng.index(vocab)).collect();
+
+        let pruner = StatePruner::new(threshold);
+        let mut hp = Matrix::zeros(1, hidden);
+        let reference: Vec<Matrix> = tokens.iter().map(|&t| {
+            hp = pruner.apply(cell.forward(&embedding.forward(&[t]), &hp).h());
+            linear.forward(&hp)
+        }).collect();
+        engine_replays_reference(f, threshold, &tokens, &reference, "gru word-lm");
+    }
+
     /// Interleaved sessions sharing batched steps get exactly the outputs
     /// they would get when stepped in isolation, token order preserved.
     #[test]
@@ -622,6 +669,17 @@ proptest! {
     }
 }
 
+/// Overwrites `gru.b` with seeded non-zero values.
+struct RandomBias<'a>(&'a mut SeedableStream);
+
+impl ParamVisitor for RandomBias<'_> {
+    fn visit(&mut self, name: &str, param: &mut [f32], _grad: &mut [f32]) {
+        if name == "gru.b" {
+            param.fill_with(|| self.0.uniform(-0.5, 0.5));
+        }
+    }
+}
+
 /// Asserts two activation contracts are both LUT mode and carry
 /// bitwise-identical tables.
 fn assert_same_tables(a: &GateActivations, b: &GateActivations, context: &str) {
@@ -638,12 +696,12 @@ fn assert_same_tables(a: &GateActivations, b: &GateActivations, context: &str) {
     }
 }
 
-/// The LUT tables ride the `Freezable` export and serde round trips as
-/// data: the freezer clones the training cell's tables (never rebuilds
-/// them) and serialization preserves every entry bitwise, so a serving
-/// process can never drift from the table the model trained with.
+/// The LUT tables ride the `Freezable` export and snapshot round trips
+/// as data: the freezer clones the training cell's tables (never rebuilds
+/// them) and the snapshot container preserves every entry bitwise, so a
+/// serving process can never drift from the table the model trained with.
 #[test]
-fn lut_tables_survive_freeze_and_serde_round_trip() {
+fn lut_tables_survive_freeze_and_snapshot_round_trip() {
     let mut rng = SeedableStream::new(9);
     let mut model = CharLm::with_activations(10, 8, GateActivations::lut_f32(), &mut rng);
     let frozen = FrozenCharLm::freeze(&mut model);
@@ -652,11 +710,12 @@ fn lut_tables_survive_freeze_and_serde_round_trip() {
         frozen.lstm().activations(),
         "lstm freeze",
     );
-    let back = FrozenCharLm::from_value(&frozen.to_value()).expect("char-lm round trip");
+    let back =
+        FrozenCharLm::from_snapshot_bytes(&frozen.to_snapshot_bytes()).expect("char-lm round trip");
     assert_same_tables(
         frozen.lstm().activations(),
         back.lstm().activations(),
-        "lstm serde",
+        "lstm snapshot",
     );
 
     let mut model = GruCharLm::with_activations(10, 8, GateActivations::lut_f32(), &mut rng);
@@ -666,10 +725,11 @@ fn lut_tables_survive_freeze_and_serde_round_trip() {
         frozen.gru().activations(),
         "gru freeze",
     );
-    let back = FrozenGruCharLm::from_value(&frozen.to_value()).expect("gru round trip");
+    let back =
+        FrozenGruCharLm::from_snapshot_bytes(&frozen.to_snapshot_bytes()).expect("gru round trip");
     assert_same_tables(
         frozen.gru().activations(),
         back.gru().activations(),
-        "gru serde",
+        "gru snapshot",
     );
 }

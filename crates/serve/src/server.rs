@@ -226,7 +226,10 @@ impl<M: FrozenModel> Server<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards` or `config.queue_capacity` is zero.
+    /// Panics if `config.shards` or `config.queue_capacity` is zero, or
+    /// — before any worker is spawned — if `model` bakes in a pruning
+    /// threshold other than `config.engine.threshold`
+    /// ([`FrozenModel::baked_threshold`]).
     pub fn start(model: M, config: ServeConfig) -> Self {
         assert!(config.shards > 0, "server needs at least one shard");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");

@@ -2,7 +2,7 @@
 //! eviction, deadline accounting, stale handles, stats, shutdown.
 
 use std::time::Duration;
-use zskip_runtime::{EngineError, FrozenCharLm};
+use zskip_runtime::{EngineError, FrozenCharLm, FrozenQuantizedCharLm};
 use zskip_serve::{LoadConfig, LoadGenerator, ServeConfig, ServeError, Server, StreamId};
 
 fn model() -> FrozenCharLm {
@@ -447,6 +447,16 @@ fn shutdown_terminates_under_sustained_traffic() {
     server.shutdown(); // must return despite the continuous sends
     let sent = driver.join().unwrap();
     assert!(sent > 0, "flooder never got a send through");
+}
+
+/// A quantized model bakes its pruning threshold in; serving it at
+/// another one must fail where the operator sees it — in `start`, on the
+/// caller's thread — not as a shard worker dying under its clients.
+#[test]
+#[should_panic(expected = "engine threshold 0.2 != frozen quantized threshold 0.3")]
+fn mismatched_quantized_threshold_panics_in_the_caller() {
+    let model = FrozenQuantizedCharLm::random(8, 6, 0.3, 1);
+    let _ = Server::start(model, ServeConfig::for_threshold(0.2).with_shards(2));
 }
 
 #[test]

@@ -10,12 +10,18 @@
 //!   idle. Before the intrusive ready list the engine scanned every open
 //!   session per step (`O(open)`); now idle sessions cost nothing
 //!   (`O(batch)`).
+//! * `serve_session` — what a session costs: one `open` + `close` pair
+//!   on an idle 2-shard server and beside a second client driving 64
+//!   active streams, plus the extra metric `rss_kib_per_stream` (RSS
+//!   delta of 1024 opens ÷ 1024). Neither depends on
+//!   `ServeConfig::result_capacity`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use zskip_runtime::{Engine, EngineConfig, FrozenCharLm};
-use zskip_serve::{LoadConfig, LoadGenerator, ServeConfig, Server};
+use zskip_serve::{LoadConfig, LoadGenerator, ServeConfig, Server, StreamId};
 
 const VOCAB: usize = 64;
 const DH: usize = 256;
@@ -105,13 +111,101 @@ fn bench_idle_sessions(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_streams_vs_shards, bench_idle_sessions);
+/// Resident set size of this process in KiB (0 where `/proc` is absent).
+fn rss_kib() -> f64 {
+    std::fs::read_to_string("/proc/self/statm")
+        .ok()
+        .and_then(|statm| statm.split_whitespace().nth(1)?.parse::<f64>().ok())
+        .map_or(0.0, |pages| pages * 4.0)
+}
+
+/// The gated benchmark's `churn_sessions` shape: dh128 (and 2 shards).
+const SESSION_DH: usize = 128;
+
+fn bench_session(c: &mut Criterion) {
+    let model = FrozenCharLm::random(VOCAB, SESSION_DH, 42);
+    let config = ServeConfig::for_threshold(0.3).with_shards(2);
+    let mut group = c.benchmark_group("serve_session");
+    for load in ["idle", "under_64_active"] {
+        let server = Server::start(model.clone(), config);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            if load != "idle" {
+                // A second client keeps 64 streams in lockstep rounds for
+                // as long as the pairs are being timed.
+                let mut driver = server.client();
+                let stop = &stop;
+                scope.spawn(move || {
+                    let streams: Vec<StreamId> = (0..64).map(|_| driver.open().unwrap()).collect();
+                    let mut token = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        for &id in &streams {
+                            driver.send(id, token % VOCAB).unwrap();
+                        }
+                        for &id in &streams {
+                            black_box(driver.recv(id).unwrap());
+                        }
+                        token += 1;
+                    }
+                });
+            }
+            let mut client = server.client();
+            group.bench_function(BenchmarkId::new("open_close", load), |b| {
+                b.iter(|| {
+                    let id = client.open().expect("open");
+                    client.close(id).expect("close");
+                })
+            });
+            stop.store(true, Ordering::Relaxed);
+        });
+        server.shutdown();
+    }
+    group.finish();
+}
+
+/// Footprint of an open stream: the RSS delta of 1024 opens ÷ 1024, on
+/// the `serve_session` server shape. Run before the criterion groups: a
+/// heap that earlier benches grew and freed would absorb the opens and
+/// report ~0. One round trip per shard proves (per-shard FIFO) that the
+/// workers have built their side of every session before the second
+/// reading.
+fn session_rss_kib_per_stream() {
+    const OPENS: usize = 1024;
+    let server = Server::start(
+        FrozenCharLm::random(VOCAB, SESSION_DH, 42),
+        ServeConfig::for_threshold(0.3).with_shards(2),
+    );
+    let mut client = server.client();
+    let mut streams: Vec<StreamId> = Vec::with_capacity(OPENS);
+    let before = rss_kib();
+    streams.extend((0..OPENS).map(|_| client.open().unwrap()));
+    for shard in 0..server.shard_count() {
+        let &last = streams.iter().rev().find(|id| id.shard() == shard).unwrap();
+        client.send(last, 1).unwrap();
+        black_box(client.recv(last).unwrap());
+    }
+    let per_stream = (rss_kib() - before) / OPENS as f64;
+    println!("serve_session/rss_kib_per_stream: {per_stream:.2} KiB");
+    EXTRA_METRICS
+        .lock()
+        .unwrap()
+        .push(("serve_session/rss_kib_per_stream".to_string(), per_stream));
+    server.shutdown();
+}
+
+criterion_group!(
+    benches,
+    bench_streams_vs_shards,
+    bench_idle_sessions,
+    bench_session
+);
 
 /// Runs the groups, then writes `BENCH_serve.json`: criterion medians
 /// plus the client-observed latency percentiles gathered above. The
 /// evidence file is what `docs/BENCH_RESULTS.md` entries cite and what
 /// `bench_compare` gates on.
 fn main() {
+    session_rss_kib_per_stream();
     benches();
     let mut evidence = zskip_bench::Evidence::new("serve");
     for m in criterion::take_measurements() {

@@ -1,33 +1,24 @@
 //! The blocking client handle: open / send / recv / recv_any / close.
 
 use crate::error::ServeError;
+use crate::mailbox::{Entry, Mailbox, Outlet, StreamShared};
 use crate::server::{Request, ShardHandle};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::TrySendError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zskip_runtime::{EngineError, FrozenCharLm, FrozenModel, InputSpec, SessionId, StepResult};
 use zskip_telemetry::{EventKind, SpanKind, TraceId};
 
-/// Handle to one open stream: the owning shard plus the shard engine's
-/// generational [`SessionId`]. Routing derives from the id itself, so a
-/// handle to a closed stream keeps failing instead of aliasing a new one.
+/// Handle to one open stream: the owning shard plus the stream's session
+/// key — the server-wide open ticket, unique across clients and never
+/// reused, so a handle to a closed stream keeps failing instead of
+/// aliasing a new one. The client mints it; `open` waits for no reply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId {
     pub(crate) shard: u32,
     pub(crate) session: SessionId,
-}
-
-/// Folds a stream's shard and generational session id into the u64 key
-/// the [`zskip_telemetry::TraceSampler`] hashes. Both halves of the
-/// stack derive it independently — the client from its [`StreamId`],
-/// the shard worker from its own index plus the engine's session id —
-/// so they always agree on which streams are sampled.
-pub(crate) fn stream_trace_key(shard: u32, session: SessionId) -> u64 {
-    (shard as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(session.0)
 }
 
 impl StreamId {
@@ -36,14 +27,20 @@ impl StreamId {
         self.shard as usize
     }
 
-    /// The generational per-shard session id.
+    /// The stream's never-reused session key, in the runtime's id type
+    /// for the wire format's sake. It is *not* an engine session id: the
+    /// shard worker maps it to one.
     pub fn session(&self) -> SessionId {
         self.session
     }
 
-    /// This stream's deterministic trace-sampling key.
+    /// This stream's deterministic trace-sampling key: the one value the
+    /// client, the shard worker and [`crate::Server::is_traced`] all
+    /// hash, so they always agree on which streams are sampled.
     pub fn trace_key(&self) -> u64 {
-        stream_trace_key(self.shard, self.session)
+        (self.shard as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(self.session.0)
     }
 
     /// Reassembles a stream id from its two wire-format halves — the
@@ -59,39 +56,51 @@ impl StreamId {
     }
 }
 
-/// Backstop wait slice for `recv_any` once every stream came up empty.
-/// The normal wake path is the client's wakeup channel — the worker
-/// signals it on every delivery, so idle receive latency is the thread
-/// wake itself (~0, was a 200 µs park-and-sweep). The backstop only
-/// bounds how long a disconnection that nobody can signal anymore (the
-/// server shutting down mid-wait) goes unnoticed.
-const RECV_ANY_BACKSTOP: Duration = Duration::from_millis(5);
+/// The client's side of one open stream.
+struct Stream<I> {
+    shared: Arc<StreamShared>,
+    /// Results a `recv` on *another* stream popped on its way to its
+    /// own; empty (and unallocated) for a stream nobody overtakes.
+    stash: VecDeque<StepResult<I>>,
+    /// An `Evicted` notice was popped while the caller was waiting on
+    /// another stream; reported once the stash is drained.
+    evicted: bool,
+}
+
+impl<I> Stream<I> {
+    /// What this stream contributes to [`Client::set_aside`].
+    fn set_aside(&self) -> usize {
+        self.stash.len() + usize::from(self.evicted)
+    }
+}
 
 /// A blocking client of a [`crate::Server`], generic over the served
 /// model family (the input type follows: token ids for the LM families,
 /// pixels for the classifier).
 ///
-/// Each open stream owns a private result channel; `recv` pops results in
-/// submit order, [`Client::recv_any`] pops the next result from *any*
-/// stream. Clients are independent — create one per driving thread via
+/// A client owns **one result mailbox**: every shard that hosts one of
+/// its streams posts `(stream, result)` entries into it in delivery
+/// order. [`Client::recv_any`] pops the next entry; [`Client::recv`]
+/// pops until its stream's turn comes, setting the others' results aside
+/// per stream. A stream therefore costs a map entry and two shared
+/// words — nothing is sized by `result_capacity`. Clients are
+/// independent — create one per driving thread via
 /// [`crate::Server::client`].
 pub struct Client<M: FrozenModel = FrozenCharLm> {
     shards: Arc<Vec<ShardHandle<M::Input>>>,
     open_counter: Arc<AtomicU64>,
     spec: M::Spec,
-    result_capacity: usize,
-    streams: HashMap<StreamId, Receiver<StepResult<M::Input>>>,
+    streams: HashMap<StreamId, Stream<M::Input>>,
     recv_timeout: Option<Duration>,
-    /// Rotating fairness cursor for [`Client::recv_any`].
-    recv_any_cursor: usize,
-    /// The client half of the wakeup channel: every stream this client
-    /// opens registers a sender clone with its worker, which signals it
-    /// on delivery (and before evicting the stream), so a blocked
-    /// [`Client::recv_any`] wakes the moment a result exists.
-    wakeup_rx: Receiver<()>,
-    /// The sender template cloned into each `Open` request (capacity 1 —
-    /// a pending wakeup token is binary).
-    wakeup_tx: SyncSender<()>,
+    mailbox: Arc<Mailbox<M::Input>>,
+    /// Entries taken out of the mailbox (a whole batch per lock) and not
+    /// yet looked at.
+    inbox: VecDeque<Entry<M::Input>>,
+    /// Stashed results plus pending eviction notices over all streams:
+    /// while zero — always, for a caller that sticks to one of `recv` /
+    /// `recv_any` in arrival order — `recv_any` goes straight to the
+    /// mailbox without looking at any stream.
+    set_aside: usize,
     /// Copy of the server's deterministic stream sampler, so the client
     /// stitches its side of a sampled stream into the same trace the
     /// worker records.
@@ -103,20 +112,17 @@ impl<M: FrozenModel> Client<M> {
         shards: Arc<Vec<ShardHandle<M::Input>>>,
         open_counter: Arc<AtomicU64>,
         spec: M::Spec,
-        result_capacity: usize,
         sampler: zskip_telemetry::TraceSampler,
     ) -> Self {
-        let (wakeup_tx, wakeup_rx) = mpsc::sync_channel(1);
         Self {
             shards,
             open_counter,
             spec,
-            result_capacity,
             streams: HashMap::new(),
             recv_timeout: None,
-            recv_any_cursor: 0,
-            wakeup_rx,
-            wakeup_tx,
+            mailbox: Arc::new(Mailbox::new()),
+            inbox: VecDeque::new(),
+            set_aside: 0,
             sampler,
         }
     }
@@ -149,29 +155,46 @@ impl<M: FrozenModel> Client<M> {
         ids
     }
 
-    /// Opens a new stream. Placement hashes the global open ticket onto a
-    /// shard; the returned [`StreamId`] then pins the stream to that
-    /// shard's engine for its whole life. Blocks while the shard's queue
-    /// is full.
+    /// Opens a new stream and returns at once: the global open ticket is
+    /// both the placement hash's input and the stream's session key, so
+    /// there is no reply to wait for — one request on the shard's queue,
+    /// which per-shard FIFO orders before the stream's first submit. The
+    /// cost is independent of `result_capacity`. Blocks while the shard's
+    /// queue is full; [`ServeError::ServerClosed`] once the shard is gone.
+    /// An open that races a shutdown and is never served surfaces as
+    /// [`ServeError::Evicted`] on the stream's first `recv`.
     pub fn open(&mut self) -> Result<StreamId, ServeError> {
         let ticket = self.open_counter.fetch_add(1, Ordering::Relaxed);
         let shard = (zskip_tensor::rng::mix64(ticket) % self.shards.len() as u64) as u32;
-        let (reply_tx, reply_rx) = mpsc::channel();
-        // Bounded: a stream that submits without recv-ing fills this and
-        // is evicted rather than buffering results without limit.
-        let (result_tx, result_rx) = mpsc::sync_channel(self.result_capacity);
-        self.send_request(
+        let id = StreamId {
             shard,
-            Request::Open {
-                reply: reply_tx,
-                results: result_tx,
-                wakeup: self.wakeup_tx.clone(),
+            session: SessionId(ticket),
+        };
+        let shared = Arc::new(StreamShared::default());
+        let outlet = Outlet {
+            id,
+            mailbox: Arc::clone(&self.mailbox),
+            shared: Arc::clone(&shared),
+        };
+        // The stream counts as open from here, not from when the worker
+        // gets to the request: a caller holding an id must find it in
+        // `ServerStats::open_sessions`. The worker counts it out again.
+        let open_sessions = &self.shards[shard as usize].shared.open_sessions;
+        open_sessions.fetch_add(1, Ordering::Relaxed);
+        // On failure the request dies with its outlet, whose notice for
+        // an id nobody holds is dropped on pop like a closed stream's.
+        if let Err(e) = self.send_request(shard, Request::Open { outlet }, true) {
+            open_sessions.fetch_sub(1, Ordering::Relaxed);
+            return Err(e);
+        }
+        self.streams.insert(
+            id,
+            Stream {
+                shared,
+                stash: VecDeque::new(),
+                evicted: false,
             },
-            true,
-        )?;
-        let session = reply_rx.recv().map_err(|_| ServeError::ServerClosed)?;
-        let id = StreamId { shard, session };
-        self.streams.insert(id, result_rx);
+        );
         Ok(id)
     }
 
@@ -257,26 +280,57 @@ impl<M: FrozenModel> Client<M> {
     }
 
     /// Pops the oldest undelivered result of a stream, blocking until one
-    /// arrives (bounded by the receive timeout, when set).
+    /// arrives (bounded by the receive timeout, when set). Results of
+    /// other streams that arrive first are set aside for their own
+    /// `recv`; they keep counting against those streams'
+    /// `result_capacity` until handed out.
     pub fn recv(&mut self, id: StreamId) -> Result<StepResult<M::Input>, ServeError> {
-        let rx = self.streams.get(&id).ok_or(ServeError::UnknownStream)?;
-        let traced = self.is_traced(id);
-        let started = traced.then(Instant::now);
-        let outcome = match self.recv_timeout {
-            None => rx.recv().map_err(|_| ServeError::Evicted),
-            Some(timeout) => rx.recv_timeout(timeout).map_err(|e| match e {
-                RecvTimeoutError::Timeout => ServeError::RecvTimeout,
-                RecvTimeoutError::Disconnected => ServeError::Evicted,
-            }),
-        };
-        if matches!(outcome, Err(ServeError::Evicted)) {
-            // The worker dropped our channel: the session is gone.
-            self.streams.remove(&id);
-        }
-        if outcome.is_ok() {
-            if let Some(started) = started {
-                self.record_span(id, SpanKind::ClientRecv, started, Instant::now(), 1, 0);
+        let stream = self.streams.get_mut(&id).ok_or(ServeError::UnknownStream)?;
+        let started = self.sampler.sampled(id.trace_key()).then(Instant::now);
+        let outcome = if let Some(result) = stream.stash.pop_front() {
+            self.set_aside -= 1;
+            Ok(result)
+        } else if stream.evicted {
+            Err(ServeError::Evicted)
+        } else {
+            let deadline = self.recv_timeout.map(|timeout| Instant::now() + timeout);
+            loop {
+                match self.next_entry(deadline) {
+                    None => break Err(ServeError::RecvTimeout),
+                    Some(Entry::Result(from, result)) if from == id => break Ok(result),
+                    Some(Entry::Evicted(from)) if from == id => break Err(ServeError::Evicted),
+                    // Another stream's entry: set it aside. Entries of
+                    // streams this client no longer holds just drop.
+                    Some(Entry::Result(from, result)) => {
+                        if let Some(other) = self.streams.get_mut(&from) {
+                            other.stash.push_back(result);
+                            self.set_aside += 1;
+                        }
+                    }
+                    Some(Entry::Evicted(from)) => {
+                        if let Some(other) = self.streams.get_mut(&from) {
+                            other.evicted = true;
+                            self.set_aside += 1;
+                        }
+                    }
+                }
             }
+        };
+        match &outcome {
+            Ok(_) => {
+                self.streams[&id]
+                    .shared
+                    .unread
+                    .fetch_sub(1, Ordering::Relaxed);
+                if let Some(started) = started {
+                    self.record_span(id, SpanKind::ClientRecv, started, Instant::now(), 1, 0);
+                }
+            }
+            // The session is gone server-side: forget the handle.
+            Err(ServeError::Evicted) => {
+                self.forget(id);
+            }
+            Err(_) => {}
         }
         outcome
     }
@@ -286,20 +340,19 @@ impl<M: FrozenModel> Client<M> {
     /// driver thread can own many streams without round-robin `recv`
     /// polling of its own.
     ///
-    /// Blocking is notification-driven: when a sweep over the streams
-    /// comes up empty, the call parks on the client's wakeup channel,
-    /// which every owning worker signals the moment it delivers a result
-    /// (or evicts one of this client's streams) — idle receive latency
-    /// is the thread wake itself, not a polling interval. A pending
-    /// wakeup from an already-consumed result just costs one extra
-    /// sweep.
+    /// This is a pop of the client's mailbox: the call parks on it and
+    /// the posting worker wakes it (once per engine step, and only when
+    /// it is parked) — idle receive latency is the thread wake itself,
+    /// and the cost does not grow with the number of open streams.
     ///
-    /// Fairness: consecutive calls rotate the stream checked first, so a
-    /// chatty stream cannot starve the others. Streams found evicted
-    /// server-side during the wait are dropped from the client (exactly
-    /// as [`Client::recv`] does) and the wait continues on the rest;
-    /// subsequent calls for the dropped id report
-    /// [`ServeError::UnknownStream`].
+    /// Fairness is arrival order: results come out in the order the
+    /// shards delivered them, so a chatty stream cannot overtake a
+    /// result that was delivered before its own. (Results an earlier
+    /// [`Client::recv`] set aside are handed out first, in submit order
+    /// per stream.) Streams found evicted server-side during the wait
+    /// are dropped from the client (exactly as [`Client::recv`] does)
+    /// and the wait continues on the rest; subsequent calls for the
+    /// dropped id report [`ServeError::UnknownStream`].
     ///
     /// Errors: [`ServeError::UnknownStream`] when no stream is open
     /// (including when every stream was evicted mid-wait),
@@ -308,72 +361,69 @@ impl<M: FrozenModel> Client<M> {
         &mut self,
         timeout: Duration,
     ) -> Result<(StreamId, StepResult<M::Input>), ServeError> {
-        let deadline = Instant::now() + timeout;
-        // Stable rotated order, built once per call: StreamId is Ord, so
-        // the sweep order is deterministic and the cursor rotates who
-        // goes first on consecutive calls. The set only shrinks on
-        // eviction, so the list is rebuilt only then — not per sweep
-        // (a client may own thousands of streams).
-        let mut ids: Vec<StreamId> = self.streams.keys().copied().collect();
-        if !ids.is_empty() {
-            ids.sort_unstable();
-            let start = self.recv_any_cursor % ids.len();
-            ids.rotate_left(start);
-            self.recv_any_cursor = self.recv_any_cursor.wrapping_add(1);
-        }
+        let deadline = Some(Instant::now() + timeout);
         loop {
-            if ids.is_empty() {
+            while self.set_aside > 0 {
+                let (&id, stream) = self
+                    .streams
+                    .iter_mut()
+                    .find(|(_, stream)| stream.set_aside() > 0)
+                    .expect("set_aside counts what the streams hold");
+                if let Some(result) = stream.stash.pop_front() {
+                    self.set_aside -= 1;
+                    stream.shared.unread.fetch_sub(1, Ordering::Relaxed);
+                    return Ok((id, result));
+                }
+                self.forget(id);
+            }
+            if self.streams.is_empty() {
                 return Err(ServeError::UnknownStream);
             }
-            let mut evicted = false;
-            let mut hit = None;
-            for &id in &ids {
-                match self.streams[&id].try_recv() {
-                    Ok(result) => {
-                        hit = Some((id, result));
-                        break;
-                    }
-                    Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => {
-                        self.streams.remove(&id);
-                        evicted = true;
+            // Nothing is set aside past this point, so an entry is
+            // either the caller's or about a stream to forget.
+            match self.next_entry(deadline) {
+                None => return Err(ServeError::RecvTimeout),
+                Some(Entry::Result(id, result)) => {
+                    if let Some(stream) = self.streams.get(&id) {
+                        stream.shared.unread.fetch_sub(1, Ordering::Relaxed);
+                        return Ok((id, result));
                     }
                 }
-            }
-            if evicted {
-                ids.retain(|id| self.streams.contains_key(id));
-                // Resweep immediately: the set changed, and if it is now
-                // empty the caller must hear UnknownStream, not block.
-                continue;
-            }
-            if let Some(hit) = hit {
-                return Ok(hit);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ServeError::RecvTimeout);
-            }
-            // Park until a worker signals a delivery or eviction. The
-            // backstop slice exists only because the client itself holds
-            // a sender (the clone template), so a server that dies
-            // without signalling cannot disconnect the channel — the
-            // periodic resweep notices the dropped result channels
-            // instead. A wakeup delivered between our sweep and this
-            // park is already buffered (capacity 1), so no result can
-            // slip through the gap.
-            let wait = RECV_ANY_BACKSTOP.min(deadline.saturating_duration_since(now));
-            match self.wakeup_rx.recv_timeout(wait) {
-                Ok(()) | Err(RecvTimeoutError::Timeout) => {}
-                // Unreachable while `wakeup_tx` lives in self; resweep.
-                Err(RecvTimeoutError::Disconnected) => {}
+                Some(Entry::Evicted(id)) => {
+                    self.forget(id);
+                }
             }
         }
+    }
+
+    /// The next mailbox entry, blocking until `deadline` (`None` = no
+    /// limit); `None` when it passed first.
+    fn next_entry(&mut self, deadline: Option<Instant>) -> Option<Entry<M::Input>> {
+        if self.inbox.is_empty() && !self.mailbox.take(&mut self.inbox, deadline) {
+            return None;
+        }
+        self.inbox.pop_front()
+    }
+
+    /// Drops a stream from the client's books (no request is sent);
+    /// `false` if the client does not hold it.
+    fn forget(&mut self, id: StreamId) -> bool {
+        let Some(stream) = self.streams.remove(&id) else {
+            return false;
+        };
+        self.set_aside -= stream.set_aside();
+        // From here on nothing is owed to this stream: the worker stops
+        // posting to it and its outlet's drop stays silent.
+        stream.shared.closed.store(true, Ordering::Release);
+        true
     }
 
     /// Closes a stream: undelivered results are dropped and the shard
     /// reclaims the session slot.
     pub fn close(&mut self, id: StreamId) -> Result<(), ServeError> {
-        self.streams.remove(&id).ok_or(ServeError::UnknownStream)?;
+        if !self.forget(id) {
+            return Err(ServeError::UnknownStream);
+        }
         self.send_request(id.shard, Request::Close { id: id.session }, true)
     }
 
@@ -439,7 +489,8 @@ impl<M: FrozenModel> Client<M> {
                         Request::Submit { id, .. }
                         | Request::SubmitMany { id, .. }
                         | Request::Close { id } => Some(*id),
-                        Request::Open { .. } | Request::Shutdown => None,
+                        Request::Open { outlet } => Some(outlet.id.session),
+                        Request::Shutdown => None,
                     };
                     let stalled = Instant::now();
                     let outcome = handle
@@ -448,7 +499,7 @@ impl<M: FrozenModel> Client<M> {
                         .map_err(|_| ServeError::ServerClosed);
                     if outcome.is_ok() {
                         if let Some(session) = traced_session {
-                            let key = stream_trace_key(shard, session);
+                            let key = StreamId { shard, session }.trace_key();
                             if self.sampler.sampled(key) {
                                 handle.shared.spans.record(
                                     TraceId(key),
@@ -484,9 +535,8 @@ impl<M: FrozenModel> Drop for Client<M> {
     /// shard engines — eviction by TTL is a safety net, not the cleanup
     /// path.
     fn drop(&mut self) {
-        let ids: Vec<StreamId> = self.streams.keys().copied().collect();
-        self.streams.clear();
-        for id in ids {
+        for id in self.open_stream_ids() {
+            self.forget(id);
             // Best-effort: the server may already be gone.
             let _ = self.send_request(id.shard, Request::Close { id: id.session }, true);
         }

@@ -40,9 +40,9 @@ pub enum ServeError {
     /// The server has shut down; no further requests can be delivered.
     ServerClosed,
     /// The stream's session is gone server-side — evicted idle past the
-    /// configured TTL, evicted as a slow consumer (its bounded result
-    /// channel filled), or the server shut down — reported once all
-    /// buffered results have been drained. (Tokens the engine accepted
+    /// configured TTL, evicted as a slow consumer (`result_capacity` of
+    /// its results sat unread), or the server shut down — reported once
+    /// all buffered results have been drained. (Tokens the engine accepted
     /// before shutdown are always served first; see
     /// `Server::shutdown`.)
     Evicted,
@@ -59,8 +59,8 @@ impl std::fmt::Display for ServeError {
             ServeError::ServerClosed => write!(f, "server has shut down"),
             ServeError::Evicted => write!(
                 f,
-                "session gone server-side (evicted for idle TTL or a full \
-                 result channel, or the server shut down)"
+                "session gone server-side (evicted for idle TTL or too many \
+                 unread results, or the server shut down)"
             ),
             ServeError::RecvTimeout => write!(f, "receive timed out"),
         }

@@ -14,9 +14,13 @@
 //! * [`Client`] — a blocking handle (`open` / `send` / `recv` / `close`,
 //!   plus the select-style [`Client::recv_any`] so one driver thread can
 //!   own many streams); streams hash onto a shard at open and stay
-//!   pinned there via the generational [`StreamId`]; result channels are
-//!   bounded too, so a consumer that stops `recv`ing is evicted instead
-//!   of buffering results without limit,
+//!   pinned there via the [`StreamId`], whose session key is the
+//!   never-reused open ticket the client draws itself (`open` waits for
+//!   no reply). Results arrive in **one mailbox per client**, not a
+//!   channel per stream: a stream costs its state plus a map entry, and
+//!   is bounded by count — a consumer that stops `recv`ing is evicted
+//!   once `result_capacity` of its results sit unread, instead of
+//!   buffering results without limit,
 //! * per-session TTL eviction and per-token deadline-miss accounting,
 //! * [`ServerStats`] — a cross-shard aggregate (throughput, skip
 //!   fraction, queue depth, deadline misses, evictions),
@@ -56,6 +60,7 @@
 pub mod client;
 pub mod error;
 pub mod loadgen;
+mod mailbox;
 pub mod server;
 pub mod stats;
 pub mod trace_export;

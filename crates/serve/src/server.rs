@@ -3,28 +3,40 @@
 //!
 //! ```text
 //!               ┌────────────── Server ──────────────┐
-//!  Client ──┬──▶ queue 0 ─▶ worker 0: Engine shard 0 ─┬─▶ per-stream
-//!  Client ──┼──▶ queue 1 ─▶ worker 1: Engine shard 1 ─┼─▶ result
-//!   ...     └──▶ queue k ─▶ worker k: Engine shard k ─┘   channels
+//!  Client ──┬──▶ queue 0 ─▶ worker 0: Engine shard 0 ─┬─▶ the owning
+//!  Client ──┼──▶ queue 1 ─▶ worker 1: Engine shard 1 ─┼─▶ client's
+//!   ...     └──▶ queue k ─▶ worker k: Engine shard k ─┘   mailbox
 //! ```
 //!
 //! Each worker drains its queue, coalesces every ready session into
-//! batched engine steps, forwards results to the owning stream's channel,
-//! and sweeps idle sessions past the TTL. Queues are `sync_channel`s with
-//! a fixed capacity, so a flooded shard pushes back on producers instead
-//! of buffering without bound.
+//! batched engine steps, posts each step's results to the owning
+//! clients' mailboxes (one lock and at most one wake per client per
+//! step), and sweeps idle sessions past the TTL. Queues are
+//! `sync_channel`s with a fixed capacity, so a flooded shard pushes back
+//! on producers instead of buffering without bound; a mailbox is bounded
+//! per stream by *count* (`result_capacity` unread results, then
+//! eviction), so opening a stream preallocates nothing.
+//!
+//! A stream is named by its **session key** — the server-wide open
+//! ticket the client draws, unique and never reused. The client mints
+//! the [`crate::StreamId`] itself and `open` waits for no reply; the
+//! worker maps key → engine [`SessionId`] when the `Open` request
+//! reaches it, and every way out of a session (close, TTL, slow
+//! consumer) goes through one worker function, `end_session`, which
+//! clears both directions of that map.
 
-use crate::client::{stream_trace_key, Client};
+use crate::client::Client;
+use crate::mailbox::{Entry, Mailbox, Outlet};
 use crate::stats::{duration_nanos, ServerStats, ShardEvent, ShardShared};
 use crate::trace_export::{ShardSpan, TraceExport};
-use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zskip_runtime::{
-    Engine, EngineConfig, EngineStats, FrozenCharLm, FrozenModel, SessionId, Stage, StepResult,
+    Engine, EngineConfig, EngineStats, FrozenCharLm, FrozenModel, SessionId, Stage,
 };
 use zskip_telemetry::{EventKind, SpanKind, TraceId, TraceSampler};
 
@@ -39,9 +51,12 @@ pub struct ServeConfig {
     /// knob: blocking `send`s stall and `try_send`s fail once a queue
     /// holds this many requests.
     pub queue_capacity: usize,
-    /// Capacity of each stream's bounded result channel. A consumer that
-    /// stops `recv`ing while submitting is **evicted** once its channel
-    /// fills — results are never buffered without bound.
+    /// Bound on each stream's unread results — delivered by the worker,
+    /// not yet handed to the caller by `recv` / `recv_any`. A consumer
+    /// that stops `recv`ing while submitting is **evicted** when the
+    /// next result would exceed it — results are never buffered without
+    /// bound. A bound, not a buffer: nothing is allocated per stream up
+    /// front, so the cost and footprint of `open` do not depend on it.
     pub result_capacity: usize,
     /// Evict sessions idle longer than this (no submit and no delivery).
     /// `None` disables eviction.
@@ -106,7 +121,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-stream result-channel capacity.
+    /// Sets the per-stream bound on unread results.
     pub fn with_result_capacity(mut self, capacity: usize) -> Self {
         self.result_capacity = capacity;
         self
@@ -146,15 +161,11 @@ impl ServeConfig {
 /// One request travelling a shard queue (crate-internal), generic over
 /// the served family's input type.
 pub(crate) enum Request<I> {
-    /// Open a session; reply with its generational id and register the
-    /// stream's (bounded) result channel plus the owning client's
-    /// wakeup channel (signalled on every delivery so a blocked
-    /// `recv_any` wakes immediately).
-    Open {
-        reply: Sender<SessionId>,
-        results: SyncSender<StepResult<I>>,
-        wakeup: SyncSender<()>,
-    },
+    /// Open a session under the key the client already minted
+    /// (`outlet.id`) and post its results through `outlet`. No reply:
+    /// the shard queue's FIFO puts this ahead of the stream's first
+    /// submit. Every other request's `id` is that same key.
+    Open { outlet: Outlet<I> },
     /// Feed one input to a session.
     Submit {
         id: SessionId,
@@ -169,21 +180,22 @@ pub(crate) enum Request<I> {
         inputs: Vec<I>,
         enqueued: Instant,
     },
-    /// Close a session and drop its result channel.
+    /// Close a session.
     Close { id: SessionId },
     /// Stop the worker after the queue drained up to this request.
     Shutdown,
 }
 
 impl<I> Request<I> {
-    /// The raw session id this request targets, for event payloads
-    /// (0 for requests without a session: opens and shutdowns).
+    /// The session key this request targets, for event payloads
+    /// (0 for a shutdown, which has none).
     pub(crate) fn session_detail(&self) -> u64 {
         match self {
             Request::Submit { id, .. } | Request::SubmitMany { id, .. } | Request::Close { id } => {
                 id.0
             }
-            Request::Open { .. } | Request::Shutdown => 0,
+            Request::Open { outlet } => outlet.id.session.0,
+            Request::Shutdown => 0,
         }
     }
 }
@@ -201,9 +213,9 @@ pub(crate) struct ShardHandle<I> {
 /// A `Server` owns `shards` worker threads, each running a private
 /// [`Engine`] over a clone of the frozen model. Streams are placed on a
 /// shard by hashing their open ticket; from then on the stream's
-/// [`crate::StreamId`] carries the shard plus the engine's generational
-/// [`SessionId`], so every later request routes to the same engine and
-/// stale handles keep failing loudly.
+/// [`crate::StreamId`] carries the shard plus that ticket as its
+/// never-reused session key, so every later request routes to the same
+/// engine and stale handles keep failing loudly.
 ///
 /// Dropping the server (or calling [`Server::shutdown`]) stops the
 /// workers after their queues drain.
@@ -215,7 +227,6 @@ pub struct Server<M: FrozenModel = FrozenCharLm> {
     /// sample against. Kept instead of an extra full model clone: the
     /// shard engines hold the only weight copies.
     spec: M::Spec,
-    result_capacity: usize,
     /// The deterministic stream sampler, shared (by copy) with every
     /// worker and client so all sides agree on which streams trace.
     sampler: TraceSampler,
@@ -270,6 +281,10 @@ impl<M: FrozenModel> Server<M> {
                 rx,
                 shared: Arc::clone(&shared),
                 sessions: HashMap::new(),
+                keys: HashMap::new(),
+                result_capacity: config.result_capacity,
+                batch: Vec::new(),
+                batch_to: None,
                 session_ttl: config.session_ttl,
                 token_deadline: config.token_deadline,
                 idle_tick: config.idle_tick,
@@ -293,7 +308,6 @@ impl<M: FrozenModel> Server<M> {
             open_counter: Arc::new(AtomicU64::new(0)),
             workers,
             spec,
-            result_capacity: config.result_capacity,
             sampler,
         }
     }
@@ -305,7 +319,6 @@ impl<M: FrozenModel> Server<M> {
             Arc::clone(&self.shards),
             Arc::clone(&self.open_counter),
             self.spec,
-            self.result_capacity,
             self.sampler,
         )
     }
@@ -394,17 +407,11 @@ impl<M: FrozenModel> Server<M> {
             // Keep the queue-depth counter balanced: the worker
             // decrements it for every dequeued request, Shutdown
             // included.
-            shard
-                .shared
-                .queue_depth
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            shard.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
             // A full queue still delivers Shutdown eventually; a
             // disconnected one means the worker is already gone.
             if shard.tx.send(Request::Shutdown).is_err() {
-                shard
-                    .shared
-                    .queue_depth
-                    .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+                shard.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
             }
         }
         for worker in self.workers.drain(..) {
@@ -421,16 +428,14 @@ impl<M: FrozenModel> Drop for Server<M> {
 
 /// Book-keeping one worker holds per open session.
 struct SessionEntry<I> {
-    results: SyncSender<StepResult<I>>,
-    /// The owning client's wakeup channel (capacity 1): `try_send` after
-    /// every delivery — and before any removal of this entry — so a
-    /// `recv_any` blocked on the client side wakes immediately instead
-    /// of parking on a sweep interval. A full channel just means a
-    /// wakeup is already pending.
-    wakeup: SyncSender<()>,
+    /// The engine's own (slot-recycling) id for this session.
+    engine_id: SessionId,
+    /// Where results go. Dropping the entry drops this, which posts the
+    /// `Evicted` notice unless the client let go of the stream first.
+    outlet: Outlet<I>,
     last_active: Instant,
     /// Submit timestamps of queued inputs, for deadline accounting.
-    enqueued_at: std::collections::VecDeque<Instant>,
+    enqueued_at: VecDeque<Instant>,
 }
 
 /// One shard's worker loop state.
@@ -438,14 +443,26 @@ struct Worker<M: FrozenModel> {
     engine: Engine<M>,
     rx: Receiver<Request<M::Input>>,
     shared: Arc<ShardShared>,
+    /// Open sessions by session key (what requests carry).
     sessions: HashMap<u64, SessionEntry<M::Input>>,
+    /// Engine session id → session key, for the engine's delivered list.
+    /// Holds exactly the engine ids of `sessions`' entries.
+    keys: HashMap<u64, u64>,
+    /// Unread results a stream may hold before it is evicted.
+    result_capacity: usize,
+    /// One step's entries for the mailbox `batch_to`, posted together so
+    /// a client takes one lock and at most one wake per step however
+    /// many of its streams the step served.
+    batch: Vec<Entry<M::Input>>,
+    batch_to: Option<Arc<Mailbox<M::Input>>>,
     session_ttl: Option<Duration>,
     token_deadline: Option<Duration>,
     idle_tick: Duration,
     last_sweep: Instant,
-    /// Reused copy of the ids one engine step delivered (the engine's
-    /// own slice borrows its scratch, which `deliver` needs mutably).
-    delivered: Vec<SessionId>,
+    /// Session keys of what one engine step delivered (reused; the
+    /// engine's own id slice borrows its scratch, which `deliver` needs
+    /// mutably).
+    delivered: Vec<u64>,
     /// Engine `dense_steps` value at the last publish, for emitting a
     /// `DenseFallback` event exactly when the counter advances.
     last_dense_steps: u64,
@@ -489,6 +506,13 @@ impl<M: FrozenModel> Worker<M> {
         }
     }
 
+    /// The trace-sampling key of the stream with session key `key` on
+    /// this shard — [`crate::StreamId::trace_key`] of the id the client
+    /// holds, so both sides sample the same streams.
+    fn trace_key(&self, key: u64) -> u64 {
+        crate::StreamId::from_wire(self.shard, key).trace_key()
+    }
+
     /// Winds the shard down: the `Shutdown` marker is the linearization
     /// point. Every request the worker dequeued *before* it was served
     /// normally, and every token the engine accepted is stepped to its
@@ -510,8 +534,9 @@ impl<M: FrozenModel> Worker<M> {
     }
 
     /// One engine step plus result fan-out. The delivered-id slice
-    /// borrows the engine, so it is copied into the worker's reused
-    /// buffer before `deliver` re-borrows the engine mutably.
+    /// borrows the engine, so it is translated to session keys into the
+    /// worker's reused buffer before `deliver` re-borrows the engine
+    /// mutably.
     ///
     /// Engine counters are published **between** the step and the
     /// fan-out: a client holding a result can never read engine stats
@@ -522,8 +547,9 @@ impl<M: FrozenModel> Worker<M> {
         self.delivered.clear();
         let mut delivered = std::mem::take(&mut self.delivered);
         let step_started = Instant::now();
-        delivered.extend_from_slice(self.engine.step());
+        let stepped = self.engine.step();
         let now = Instant::now();
+        delivered.extend(stepped.iter().map(|id| self.keys[&id.0]));
         if !delivered.is_empty() {
             self.shared
                 .step_time
@@ -536,9 +562,10 @@ impl<M: FrozenModel> Worker<M> {
             self.record_step_spans(&prev, &stats, &delivered, step_started, now);
         }
         self.last_stats = stats;
-        for &id in &delivered {
-            self.deliver(id, now);
+        for &key in &delivered {
+            self.deliver(key, now);
         }
+        self.post_batch();
         delivered.clear();
         self.delivered = delivered;
     }
@@ -556,7 +583,7 @@ impl<M: FrozenModel> Worker<M> {
         &self,
         prev: &EngineStats,
         cur: &EngineStats,
-        delivered: &[SessionId],
+        delivered: &[u64],
         started: Instant,
         ended: Instant,
     ) {
@@ -589,8 +616,8 @@ impl<M: FrozenModel> Worker<M> {
             };
         }
         let laid: u64 = laps.iter().sum();
-        for &sid in delivered {
-            let key = stream_trace_key(self.shard, sid);
+        for &key in delivered {
+            let key = self.trace_key(key);
             if !self.sampler.sampled(key) {
                 continue;
             }
@@ -637,15 +664,16 @@ impl<M: FrozenModel> Worker<M> {
     }
 
     /// Disposes of a request that arrived after shutdown began. Intake
-    /// requests fail fast (the dropped `reply` sender surfaces as
-    /// `ServerClosed` to a waiting `open`); closes are still applied so
-    /// the session accounting stays truthful to the end.
+    /// requests fail fast — a raced `Open` is dropped with its outlet,
+    /// which tells the client (already holding the id) `Evicted`; closes
+    /// are still applied so the session accounting stays truthful to the
+    /// end.
     fn reject(&mut self, req: Request<M::Input>) {
-        use std::sync::atomic::Ordering;
         self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
         match req {
             Request::Open { .. } => {
                 self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+                self.shared.open_sessions.fetch_sub(1, Ordering::Relaxed);
             }
             Request::Submit { .. } => {
                 self.shared.rejected.fetch_add(1, Ordering::Relaxed);
@@ -656,24 +684,34 @@ impl<M: FrozenModel> Worker<M> {
                     .fetch_add(inputs.len() as u64, Ordering::Relaxed);
             }
             Request::Close { id } => {
-                if self.engine.close_session(id).is_ok() {
-                    self.remove_session(id);
-                    self.shared
-                        .open_sessions
-                        .store(self.sessions.len(), Ordering::Relaxed);
-                }
+                self.end_session(id.0);
             }
             Request::Shutdown => {}
         }
     }
 
-    /// Removes a session entry, waking its client first: a `recv_any`
-    /// blocked on the entry's stream must resweep promptly to observe
-    /// the dropped result channel instead of sleeping out its timeout.
-    fn remove_session(&mut self, id: SessionId) {
-        if let Some(entry) = self.sessions.remove(&id.0) {
-            let _ = entry.wakeup.try_send(());
-        }
+    /// The one way out of a session — close, TTL, slow consumer: closes
+    /// the engine session and clears the entry from **both** maps.
+    /// Dropping the returned entry drops its outlet, which posts the
+    /// `Evicted` notice unless the client let go of the stream first.
+    fn end_session(&mut self, key: u64) -> Option<SessionEntry<M::Input>> {
+        let entry = self.sessions.remove(&key)?;
+        self.keys.remove(&entry.engine_id.0);
+        debug_assert_eq!(self.sessions.len(), self.keys.len());
+        self.engine
+            .close_session(entry.engine_id)
+            .expect("a tracked session is open in the engine");
+        // The opening client counted the session in (see `Client::open`).
+        self.shared.open_sessions.fetch_sub(1, Ordering::Relaxed);
+        Some(entry)
+    }
+
+    /// Ends a session server-side (TTL or slow consumer) and accounts
+    /// for it; the dropped entry's outlet tells the client.
+    fn evict(&mut self, key: u64) {
+        self.end_session(key);
+        self.shared.evicted_sessions.fetch_add(1, Ordering::Relaxed);
+        self.shared.events.push(EventKind::SessionEvict, key);
     }
 
     /// Handles queued requests without blocking; `true` means shutdown.
@@ -693,51 +731,37 @@ impl<M: FrozenModel> Worker<M> {
 
     /// Applies one request; `true` means shutdown.
     fn handle(&mut self, req: Request<M::Input>) -> bool {
-        use std::sync::atomic::Ordering;
         self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let now = Instant::now();
         match req {
-            Request::Open {
-                reply,
-                results,
-                wakeup,
-            } => {
-                let id = self.engine.open_session();
+            Request::Open { outlet } => {
+                let key = outlet.id.session.0;
+                let engine_id = self.engine.open_session();
+                self.keys.insert(engine_id.0, key);
                 self.sessions.insert(
-                    id.0,
+                    key,
                     SessionEntry {
-                        results,
-                        wakeup,
+                        engine_id,
+                        outlet,
                         last_active: now,
-                        enqueued_at: std::collections::VecDeque::new(),
+                        enqueued_at: VecDeque::new(),
                     },
                 );
-                self.shared
-                    .open_sessions
-                    .store(self.sessions.len(), Ordering::Relaxed);
-                self.shared.events.push(EventKind::SessionOpen, id.0);
-                // The client may have died while waiting (it never saw the
-                // id, so its Drop cannot close this session); the TTL
-                // sweep reclaims the orphan when a TTL is configured.
-                let _ = reply.send(id);
+                self.shared.events.push(EventKind::SessionOpen, key);
             }
             Request::Submit {
                 id,
                 input,
                 enqueued,
-            } => match self.engine.submit(id, input) {
-                Ok(()) => {
-                    let entry = self
-                        .sessions
-                        .get_mut(&id.0)
-                        .expect("engine accepted a session the worker does not track");
+            } => match self.sessions.get_mut(&id.0) {
+                Some(entry) if self.engine.submit(entry.engine_id, input).is_ok() => {
                     entry.last_active = now;
                     entry.enqueued_at.push_back(enqueued);
                     self.shared.submitted.fetch_add(1, Ordering::Relaxed);
                     self.shared
                         .queue_wait
                         .record(duration_nanos(now.duration_since(enqueued)));
-                    let key = stream_trace_key(self.shard, id);
+                    let key = self.trace_key(id.0);
                     if self.sampler.sampled(key) {
                         self.shared.spans.record(
                             TraceId(key),
@@ -749,7 +773,7 @@ impl<M: FrozenModel> Worker<M> {
                         );
                     }
                 }
-                Err(_) => {
+                _ => {
                     self.shared.rejected.fetch_add(1, Ordering::Relaxed);
                 }
             },
@@ -760,23 +784,24 @@ impl<M: FrozenModel> Worker<M> {
             } => {
                 let total = inputs.len();
                 let mut accepted = 0usize;
-                for input in inputs {
-                    // A stale session fails every submit, a validation
-                    // reject only the offending input — count each
-                    // outcome individually so the gauges stay exact.
-                    if self.engine.submit(id, input).is_ok() {
-                        accepted += 1;
+                if let Some(entry) = self.sessions.get_mut(&id.0) {
+                    for input in inputs {
+                        // A validation reject fails only the offending
+                        // input (a stale session, every one: `total`
+                        // below) — count each outcome individually so
+                        // the gauges stay exact.
+                        if self.engine.submit(entry.engine_id, input).is_ok() {
+                            accepted += 1;
+                        }
+                    }
+                    if accepted > 0 {
+                        entry.last_active = now;
+                        for _ in 0..accepted {
+                            entry.enqueued_at.push_back(enqueued);
+                        }
                     }
                 }
                 if accepted > 0 {
-                    let entry = self
-                        .sessions
-                        .get_mut(&id.0)
-                        .expect("engine accepted a session the worker does not track");
-                    entry.last_active = now;
-                    for _ in 0..accepted {
-                        entry.enqueued_at.push_back(enqueued);
-                    }
                     self.shared
                         .submitted
                         .fetch_add(accepted as u64, Ordering::Relaxed);
@@ -790,7 +815,7 @@ impl<M: FrozenModel> Worker<M> {
                     }
                     // One span for the whole burst; `a` carries how many
                     // tokens shared this queue hop.
-                    let key = stream_trace_key(self.shard, id);
+                    let key = self.trace_key(id.0);
                     if self.sampler.sampled(key) {
                         self.shared.spans.record(
                             TraceId(key),
@@ -809,11 +834,7 @@ impl<M: FrozenModel> Worker<M> {
                 }
             }
             Request::Close { id } => {
-                if self.engine.close_session(id).is_ok() {
-                    self.remove_session(id);
-                    self.shared
-                        .open_sessions
-                        .store(self.sessions.len(), Ordering::Relaxed);
+                if self.end_session(id.0).is_some() {
                     self.shared.events.push(EventKind::SessionClose, id.0);
                 } else {
                     self.shared.rejected.fetch_add(1, Ordering::Relaxed);
@@ -824,23 +845,38 @@ impl<M: FrozenModel> Worker<M> {
         false
     }
 
-    /// Forwards one freshly delivered engine result to its stream.
-    fn deliver(&mut self, id: SessionId, now: Instant) {
-        use std::sync::atomic::Ordering;
-        use std::sync::mpsc::TrySendError;
-        let result = self
-            .engine
-            .poll(id)
-            .expect("delivered session resolves")
-            .expect("delivered session has a result");
+    /// Stages one freshly delivered engine result for its stream's
+    /// mailbox ([`Worker::post_batch`] posts the step's lot).
+    fn deliver(&mut self, key: u64, now: Instant) {
         let entry = self
             .sessions
-            .get_mut(&id.0)
+            .get_mut(&key)
             .expect("delivered session is tracked");
+        let result = self
+            .engine
+            .poll(entry.engine_id)
+            .expect("delivered session resolves")
+            .expect("delivered session has a result");
         entry.last_active = now;
         // Pop unconditionally — the token was processed either way, and
         // the queue must stay aligned with future deliveries.
         let enqueued_at = entry.enqueued_at.pop_front();
+        let stream = &entry.outlet.shared;
+        // The client let go of the stream and its `Close` is on its way:
+        // the result is undeliverable, the session stays live until then.
+        if stream.closed.load(Ordering::Acquire) {
+            return;
+        }
+        // The stream already holds its bound of unread results: the
+        // consumer stopped recv-ing while submitting. Evict instead of
+        // buffering without bound — the worker must never block on a
+        // client. (Dropping the entry posts the `Evicted` notice behind
+        // the results already in the mailbox.)
+        if stream.unread.load(Ordering::Relaxed) >= self.result_capacity {
+            self.evict(key);
+            return;
+        }
+        stream.unread.fetch_add(1, Ordering::Relaxed);
         if let Some(enqueued) = enqueued_at {
             self.shared
                 .token_latency
@@ -850,66 +886,52 @@ impl<M: FrozenModel> Worker<M> {
             (Some(enqueued), Some(deadline)) => now.duration_since(enqueued) > deadline,
             _ => false,
         };
-        // Count before sending so the gauge never lags a result a client
-        // has already received; un-count on the paths where the result
-        // could not reach the stream.
+        // Count before posting so the gauge never lags a result a client
+        // has already received.
         self.shared.delivered.fetch_add(1, Ordering::Relaxed);
         if missed_deadline {
             self.shared.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            self.shared.events.push(EventKind::DeadlineMiss, id.0);
+            self.shared.events.push(EventKind::DeadlineMiss, key);
         }
-        match entry.results.try_send(result) {
-            Ok(()) => {
-                // Wake the owning client: a `recv_any` parked on the
-                // wakeup channel picks this result up immediately. Full
-                // just means a wakeup is already pending.
-                let _ = entry.wakeup.try_send(());
-                // Delivery span: step end → result handed to the stream
-                // channel (`a` = whether the deadline was met).
-                let key = stream_trace_key(self.shard, id);
-                if self.sampler.sampled(key) {
-                    self.shared.spans.record(
-                        TraceId(key),
-                        SpanKind::Delivery,
-                        now,
-                        Instant::now(),
-                        u64::from(!missed_deadline),
-                        0,
-                    );
-                }
-            }
-            // The stream's result channel is full: the consumer stopped
-            // recv-ing while submitting. Evict instead of buffering
-            // without bound — the worker must never block on a client.
-            Err(TrySendError::Full(_)) => {
-                self.shared.delivered.fetch_sub(1, Ordering::Relaxed);
-                if missed_deadline {
-                    self.shared.deadline_misses.fetch_sub(1, Ordering::Relaxed);
-                }
-                let _ = self.engine.close_session(id);
-                self.remove_session(id);
-                self.shared.evicted_sessions.fetch_add(1, Ordering::Relaxed);
-                self.shared.events.push(EventKind::SessionEvict, id.0);
-                self.shared
-                    .open_sessions
-                    .store(self.sessions.len(), Ordering::Relaxed);
-            }
-            // A dropped receiver just means the client abandoned the
-            // stream; the result is undeliverable but the session stays
-            // live until closed or TTL-evicted.
-            Err(TrySendError::Disconnected(_)) => {
-                self.shared.delivered.fetch_sub(1, Ordering::Relaxed);
-                if missed_deadline {
-                    self.shared.deadline_misses.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
+        // A result for another client than the staged ones closes the
+        // batch: each run of one client's results shares a lock and a wake.
+        let (id, mailbox) = (entry.outlet.id, &entry.outlet.mailbox);
+        if !self
+            .batch_to
+            .as_ref()
+            .is_some_and(|to| Arc::ptr_eq(to, mailbox))
+        {
+            let mailbox = Arc::clone(mailbox);
+            self.post_batch();
+            self.batch_to = Some(mailbox);
+        }
+        self.batch.push(Entry::Result(id, result));
+        // Delivery span: step end → result staged for the client's
+        // mailbox (`a` = whether the deadline was met).
+        let key = self.trace_key(key);
+        if self.sampler.sampled(key) {
+            self.shared.spans.record(
+                TraceId(key),
+                SpanKind::Delivery,
+                now,
+                Instant::now(),
+                u64::from(!missed_deadline),
+                0,
+            );
+        }
+    }
+
+    /// Posts the staged entries to their client: one lock, and one wake
+    /// if (and only if) the client is parked.
+    fn post_batch(&mut self) {
+        if let Some(mailbox) = self.batch_to.take() {
+            mailbox.post(self.batch.drain(..));
         }
     }
 
     /// Closes sessions idle past the TTL. Rate-limited to one scan per
     /// idle tick so steady load does not pay a full-table sweep per step.
     fn sweep_ttl(&mut self) {
-        use std::sync::atomic::Ordering;
         let Some(ttl) = self.session_ttl else { return };
         let now = Instant::now();
         if now.duration_since(self.last_sweep) < self.idle_tick {
@@ -920,16 +942,10 @@ impl<M: FrozenModel> Worker<M> {
             .sessions
             .iter()
             .filter(|(_, e)| now.duration_since(e.last_active) > ttl)
-            .map(|(&raw, _)| raw)
+            .map(|(&key, _)| key)
             .collect();
-        for raw in expired {
-            let _ = self.engine.close_session(SessionId(raw));
-            self.remove_session(SessionId(raw));
-            self.shared.evicted_sessions.fetch_add(1, Ordering::Relaxed);
-            self.shared.events.push(EventKind::SessionEvict, raw);
+        for key in expired {
+            self.evict(key);
         }
-        self.shared
-            .open_sessions
-            .store(self.sessions.len(), Ordering::Relaxed);
     }
 }

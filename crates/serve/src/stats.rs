@@ -33,7 +33,9 @@ pub(crate) struct ShardShared {
     /// *plus* blocking `send`s stalled on a full queue (can exceed the
     /// queue capacity — that excess is the backpressure signal).
     pub queue_depth: AtomicUsize,
-    /// Sessions currently open on the shard's engine.
+    /// Sessions open on the shard: counted in by `Client::open` as it
+    /// queues the request (so a caller holding an id always finds it
+    /// here), counted out by the worker when the session ends.
     pub open_sessions: AtomicUsize,
     /// Tokens accepted into the engine.
     pub submitted: AtomicU64,
@@ -183,7 +185,9 @@ pub struct ShardStats {
     /// stalled on a full queue (values above the queue capacity mean
     /// producers are experiencing backpressure).
     pub queue_depth: usize,
-    /// Sessions open on the shard's engine.
+    /// Sessions open on the shard, from the moment `Client::open`
+    /// returned (the request may still be queued) until the worker
+    /// closed or evicted them.
     pub open_sessions: usize,
     /// Tokens accepted into the engine.
     pub submitted: u64,

@@ -22,8 +22,8 @@
 //!   eviction semantics *by construction*,
 //! * the **writer** owns the socket's write half behind a bounded
 //!   channel: a remote that stops reading fills it, stalls the pump,
-//!   fills the per-stream result channels, and is evicted by the
-//!   server's existing slow-consumer policy.
+//!   lets its streams' unread results reach `result_capacity`, and is
+//!   evicted by the server's existing slow-consumer policy.
 //!
 //! Teardown is two-lane. A *clean* close (a `Goodbye` frame, or EOF on
 //! a frame boundary) drains the in-flight results, closes the
@@ -49,7 +49,7 @@ use zskip_telemetry::{Event, EventKind, EventRing, HistogramSnapshot, LatencyHis
 
 /// How long the pump waits inside `recv_any` before re-checking its
 /// request queue. Results wake it immediately (the serve client's
-/// wakeup channel); this bounds only how long a *request* can sit
+/// mailbox); this bounds only how long a *request* can sit
 /// while no result arrives.
 const RESULT_SLICE: Duration = Duration::from_millis(2);
 

@@ -31,6 +31,8 @@
 //! assert!(sparse.speedup_over(&dense) > 4.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arch;
 pub mod area;
 pub mod cycle;

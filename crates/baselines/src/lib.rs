@@ -14,6 +14,8 @@
 //!   as-printed form and a units-consistent form (see EXPERIMENTS.md for
 //!   the discrepancy discussion).
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 use zskip_accel::SimReport;
 

@@ -383,10 +383,8 @@ fn pointwise_share(model: FrozenCharLm, rounds: u32) -> (f64, f64) {
 
 /// Runs the groups, then drops every measured median into
 /// `BENCH_runtime.json` (see `zskip_bench::evidence`): the evidence file
-/// is what `docs/BENCH_RESULTS.md` entries cite and what `bench_compare`
-/// gates on. The pointwise-share metrics are one-sided additions —
-/// `bench_compare` warns (not fails) on metrics absent from an older
-/// baseline.
+/// is what `docs/BENCH_RESULTS.md` entries cite, schema-checked by
+/// `bench_compare --schema-only`.
 fn main() {
     benches();
     let mut evidence = zskip_bench::Evidence::new("runtime");

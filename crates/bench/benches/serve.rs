@@ -202,8 +202,8 @@ criterion_group!(
 
 /// Runs the groups, then writes `BENCH_serve.json`: criterion medians
 /// plus the client-observed latency percentiles gathered above. The
-/// evidence file is what `docs/BENCH_RESULTS.md` entries cite and what
-/// `bench_compare` gates on.
+/// evidence file is what `docs/BENCH_RESULTS.md` entries cite,
+/// schema-checked by `bench_compare --schema-only`.
 fn main() {
     session_rss_kib_per_stream();
     benches();

@@ -9,7 +9,7 @@
 //!   percentiles ride along as extra metrics.
 //!
 //! Evidence lands in `BENCH_wire.json` through the same pipeline as
-//! every other lane (`bench_compare` gates the schema).
+//! every other lane (`bench_compare --schema-only` checks the schema).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -1,127 +1,47 @@
-//! Diffs two `BENCH_<lane>.json` evidence files and gates on median
-//! regressions.
+//! Checks `BENCH_<lane>.json` evidence files against the
+//! `zskip-bench-evidence/v1` schema.
 //!
 //! ```text
-//! bench_compare [--max-regression-pct <P>] <baseline.json> <candidate.json>
 //! bench_compare --schema-only <file.json>...
 //! ```
 //!
-//! Exit codes:
-//!
-//! * `0` — no gated regression (or `--schema-only` and every file
-//!   parsed); smoke evidence on either side reports the diff but never
-//!   gates, since one-sample numbers are noise.
-//! * `1` — at least one shared metric's median regressed by more than
-//!   the threshold (default 10%).
-//! * `2` — a file was unreadable or violated the
-//!   `zskip-bench-evidence/v1` schema.
+//! Exits `0` when every file parsed, `2` on a usage error or when a file
+//! was unreadable or violated the schema. Medians are gated by
+//! `benchmark/`'s `--compare`, not here.
 
 use std::process::ExitCode;
-use zskip_bench::{compare, Evidence};
-
-fn load(path: &str) -> Result<Evidence, String> {
-    let body = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    Evidence::from_json(&body).map_err(|e| format!("{path}: {e}"))
-}
+use zskip_bench::Evidence;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: bench_compare [--max-regression-pct <P>] <baseline.json> <candidate.json>\n\
-         \x20      bench_compare --schema-only <file.json>..."
-    );
+    eprintln!("usage: bench_compare --schema-only <file.json>...");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1).peekable();
-    let mut schema_only = false;
-    let mut max_regression_pct = 10.0f64;
-    let mut files: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--schema-only" => schema_only = true,
-            "--max-regression-pct" => {
-                let Some(v) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    return usage();
-                };
-                max_regression_pct = v;
-            }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with("--") => return usage(),
-            other => files.push(other.to_string()),
-        }
-    }
-
-    if schema_only {
-        if files.is_empty() {
-            return usage();
-        }
-        for path in &files {
-            match load(path) {
-                Ok(e) => println!(
-                    "{path}: ok (lane {}, {} metrics{})",
-                    e.lane,
-                    e.metrics.len(),
-                    if e.smoke { ", smoke" } else { "" }
-                ),
-                Err(err) => {
-                    eprintln!("bench_compare: {err}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let [baseline_path, candidate_path] = files.as_slice() else {
+    let mut args = std::env::args().skip(1);
+    if args.next().as_deref() != Some("--schema-only") {
         return usage();
-    };
-    let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench_compare: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let cmp = compare(&baseline, &candidate, max_regression_pct);
-    println!(
-        "baseline  {} ({}, {})\ncandidate {} ({}, {})",
-        baseline_path,
-        baseline.date_utc,
-        baseline.machine.host,
-        candidate_path,
-        candidate.date_utc,
-        candidate.machine.host,
-    );
-    for (id, pct) in &cmp.compared {
-        println!("  {id}: {pct:+.1}%");
     }
-    for id in &cmp.unmatched {
-        eprintln!("warning: metric only on one side: {id}");
+    let files: Vec<String> = args.collect();
+    if files.is_empty() || files.iter().any(|f| f.starts_with("--")) {
+        return usage();
     }
-    if cmp.compared.is_empty() {
-        eprintln!("warning: no shared metrics between the two files");
-    }
-    if cmp.smoke {
-        eprintln!("warning: smoke evidence — regression gate disarmed");
-    }
-    if !cmp.regressions.is_empty() {
-        println!(
-            "\n{} metric(s) slower than the {:.1}% budget:",
-            cmp.regressions.len(),
-            max_regression_pct
-        );
-        for r in &cmp.regressions {
-            println!("  {r}");
+    for path in &files {
+        let parsed = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|body| Evidence::from_json(&body));
+        match parsed {
+            Ok(e) => println!(
+                "{path}: ok (lane {}, {} metrics{})",
+                e.lane,
+                e.metrics.len(),
+                if e.smoke { ", smoke" } else { "" }
+            ),
+            Err(err) => {
+                eprintln!("bench_compare: {path}: {err}");
+                return ExitCode::from(2);
+            }
         }
     }
-    if cmp.gate_failed() {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::SUCCESS
 }

@@ -6,9 +6,8 @@
 //! structured artifact instead: the bench `main` collects its medians
 //! (from the vendored criterion's [`take_measurements`] or anywhere
 //! else), stamps the environment, and writes one JSON file per lane. The
-//! `bench_compare` binary then diffs two such files and gates on median
-//! regressions, so "did this PR slow the hot loop down?" is a CI
-//! question, not an archaeology project.
+//! `bench_compare --schema-only` binary checks such files in CI; the
+//! gate on medians is `benchmark/`'s `--compare`, over repeated runs.
 //!
 //! Schema (`zskip-bench-evidence/v1`):
 //!
@@ -28,8 +27,7 @@
 //!
 //! Metrics are medians in nanoseconds, keyed by the full benchmark id.
 //! `smoke: true` marks a `ZSKIP_BENCH_SMOKE=1` run: its numbers are
-//! one-sample noise, so [`compare`] validates the file but skips the
-//! regression gate.
+//! one-sample noise, kept only to check the schema.
 //!
 //! [`take_measurements`]: https://docs.rs/criterion
 
@@ -215,11 +213,6 @@ impl Evidence {
         let value = serde_json::from_str::<Value>(body).map_err(|e| format!("parse: {e}"))?;
         Self::from_value(&value).map_err(|e| format!("schema: {e}"))
     }
-
-    /// Looks up a metric's median by full benchmark id.
-    pub fn median(&self, id: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == id).map(|(_, v)| *v)
-    }
 }
 
 impl Serialize for Evidence {
@@ -330,91 +323,6 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-/// One gated regression: the candidate's median exceeded the baseline's
-/// by more than the allowed percentage.
-#[derive(Clone, Debug)]
-pub struct Regression {
-    /// Full benchmark id.
-    pub id: String,
-    /// Baseline median, nanoseconds.
-    pub baseline_nanos: f64,
-    /// Candidate median, nanoseconds.
-    pub candidate_nanos: f64,
-    /// Relative change in percent (positive = slower).
-    pub change_pct: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {:.0} ns -> {:.0} ns ({:+.1}%)",
-            self.id, self.baseline_nanos, self.candidate_nanos, self.change_pct
-        )
-    }
-}
-
-/// Outcome of diffing a candidate evidence file against a baseline.
-#[derive(Clone, Debug)]
-pub struct Comparison {
-    /// Metrics present in both files, `(id, change_pct)` — positive is
-    /// slower, negative is faster.
-    pub compared: Vec<(String, f64)>,
-    /// Compared metrics whose slowdown exceeded the threshold.
-    pub regressions: Vec<Regression>,
-    /// Metric ids present in only one of the two files.
-    pub unmatched: Vec<String>,
-    /// `true` when either file was a smoke run: the diff is reported
-    /// but must not gate.
-    pub smoke: bool,
-}
-
-impl Comparison {
-    /// `true` when the comparison should fail a CI gate.
-    pub fn gate_failed(&self) -> bool {
-        !self.smoke && !self.regressions.is_empty()
-    }
-}
-
-/// Diffs `candidate` against `baseline`: every metric present in both is
-/// compared, and a slowdown beyond `max_regression_pct` percent becomes
-/// a [`Regression`]. Smoke evidence on either side disarms the gate
-/// (one-sample numbers gate nothing) but the diff is still computed.
-pub fn compare(baseline: &Evidence, candidate: &Evidence, max_regression_pct: f64) -> Comparison {
-    let mut compared = Vec::new();
-    let mut regressions = Vec::new();
-    let mut unmatched = Vec::new();
-    for (id, base) in &baseline.metrics {
-        let Some(cand) = candidate.median(id) else {
-            unmatched.push(id.clone());
-            continue;
-        };
-        // A zero baseline would make the relative change meaningless;
-        // clamp to one nanosecond.
-        let change_pct = (cand - base) / base.max(1.0) * 100.0;
-        compared.push((id.clone(), change_pct));
-        if change_pct > max_regression_pct {
-            regressions.push(Regression {
-                id: id.clone(),
-                baseline_nanos: *base,
-                candidate_nanos: cand,
-                change_pct,
-            });
-        }
-    }
-    for (id, _) in &candidate.metrics {
-        if baseline.median(id).is_none() {
-            unmatched.push(id.clone());
-        }
-    }
-    Comparison {
-        compared,
-        regressions,
-        unmatched,
-        smoke: baseline.smoke || candidate.smoke,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,50 +365,5 @@ mod tests {
         let today = utc_date_today();
         assert_eq!(today.len(), 10);
         assert_eq!(today.as_bytes()[4], b'-');
-    }
-
-    #[test]
-    fn compare_flags_only_regressions_beyond_threshold() {
-        let base = sample();
-        let cand = Evidence::new("unit")
-            .metric("group/fn/a", 104.0) // +4%: within a 10% budget
-            .metric("group/fn/b", 300.0) // +20%: regression
-            .metric("group/fn/new", 5.0); // unmatched
-        let mut cand = cand;
-        cand.smoke = false;
-        let mut base = base;
-        base.smoke = false;
-        let cmp = compare(&base, &cand, 10.0);
-        assert_eq!(cmp.compared.len(), 2);
-        assert_eq!(cmp.regressions.len(), 1);
-        assert_eq!(cmp.regressions[0].id, "group/fn/b");
-        assert!(cmp.regressions[0].change_pct > 19.0);
-        assert_eq!(cmp.unmatched, vec!["group/fn/new".to_string()]);
-        assert!(cmp.gate_failed());
-    }
-
-    #[test]
-    fn smoke_evidence_never_gates() {
-        let mut base = sample();
-        base.smoke = false;
-        let mut cand = sample().metric("group/fn/a", 1_000_000.0);
-        cand.smoke = true;
-        let cmp = compare(&base, &cand, 10.0);
-        assert!(!cmp.regressions.is_empty(), "diff still computed");
-        assert!(!cmp.gate_failed(), "smoke run must not gate");
-    }
-
-    #[test]
-    fn improvements_never_gate() {
-        let mut base = sample();
-        base.smoke = false;
-        let mut cand = sample()
-            .metric("group/fn/a", 10.0)
-            .metric("group/fn/b", 1.0);
-        cand.smoke = false;
-        let cmp = compare(&base, &cand, 10.0);
-        assert!(cmp.regressions.is_empty());
-        assert!(!cmp.gate_failed());
-        assert!(cmp.compared.iter().all(|(_, pct)| *pct < 0.0));
     }
 }

@@ -11,11 +11,13 @@
 //! paper-scale dimensions. Simulator-based figures (8, 9, 10, the
 //! implementation table) are analytic at paper scale either way.
 
+#![forbid(unsafe_code)]
+
 pub mod evidence;
 pub mod figures;
 pub mod report;
 
-pub use evidence::{compare, Comparison, Evidence, Machine, Regression, EVIDENCE_SCHEMA};
+pub use evidence::{Evidence, Machine, EVIDENCE_SCHEMA};
 pub use figures::Scale;
 
 use std::path::PathBuf;

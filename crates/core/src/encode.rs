@@ -53,11 +53,6 @@ impl EncodedState {
         self.lanes
     }
 
-    /// Dense state length `dh`.
-    pub fn dense_len(&self) -> usize {
-        self.dh
-    }
-
     /// Offset field width in bits.
     pub fn offset_bits(&self) -> u8 {
         self.offset_bits

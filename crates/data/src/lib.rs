@@ -21,6 +21,8 @@
 //! finish on a laptop; every generator takes an explicit size so the
 //! full-scale configuration remains one argument away.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod charlm;
 pub mod digits;

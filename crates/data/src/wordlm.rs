@@ -9,9 +9,6 @@
 
 use zskip_tensor::SeedableStream;
 
-/// Default vocabulary size — matches PTB-word's 10k.
-pub const WORD_VOCAB: usize = 10_000;
-
 /// Paper split ratios (train, valid, test) for PTB-word.
 const SPLIT: (f64, f64, f64) = (929.0, 73.0, 82.0);
 
@@ -56,11 +53,6 @@ impl WordCorpus {
             valid: model.sample(n_valid, &mut rng),
             test: model.sample(n_test, &mut rng),
         }
-    }
-
-    /// Generates the paper-scale configuration: 10k vocabulary.
-    pub fn generate_paper_vocab(total_tokens: usize, seed: u64) -> Self {
-        Self::generate(WORD_VOCAB, total_tokens, seed)
     }
 
     /// Vocabulary size.

@@ -39,6 +39,8 @@
 //! assert_eq!(step.h().cols(), 8);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod dropout;
 pub mod embedding;

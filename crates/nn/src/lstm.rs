@@ -168,16 +168,6 @@ impl LstmCell {
         &self.b
     }
 
-    /// Mutable recurrent weights (for tests and custom initialization).
-    pub fn wh_mut(&mut self) -> &mut Matrix {
-        &mut self.wh
-    }
-
-    /// Mutable input weights.
-    pub fn wx_mut(&mut self) -> &mut Matrix {
-        &mut self.wx
-    }
-
     fn grads(&mut self) -> (&mut Matrix, &mut Matrix, &mut Vec<f32>) {
         let (i, h) = (self.input, self.hidden);
         (
@@ -450,11 +440,6 @@ impl LstmLayer {
     /// The underlying cell.
     pub fn cell(&self) -> &LstmCell {
         &self.cell
-    }
-
-    /// Mutable access to the underlying cell.
-    pub fn cell_mut(&mut self) -> &mut LstmCell {
-        &mut self.cell
     }
 
     /// Runs the unrolled forward pass.

@@ -8,10 +8,10 @@
 //!    families, `i8` codes for the quantized family),
 //! 2. passes the previous step's zero-run offset encoding
 //!    ([`zskip_core::encode`]) to the family's sparse kernel
-//!    ([`Matrix::matmul_sparse_rows`](zskip_tensor::Matrix::matmul_sparse_rows)
-//!    or `QMatrix::gemm_t_i32_sparse_rows`), so rows of `Wh` whose state
-//!    column is zero in **every** lane are never read (Section III-D
-//!    batch-joint skipping),
+//!    ([`Matrix::matmul_sparse_rows_from_into`](zskip_tensor::Matrix::matmul_sparse_rows_from_into)
+//!    or `QMatrix::gemm_t_i32_sparse_rows_into`), so rows of `Wh` whose
+//!    state column is zero in **every** lane are never read (Section
+//!    III-D batch-joint skipping),
 //! 3. applies the family's recurrent non-linearity **and pruner**
 //!    ([`FrozenModel::recurrent_step`] — families disagree on where Eq. 5
 //!    lands, so the pruner travels with the step),
@@ -34,7 +34,6 @@ use crate::model::{FrozenModel, StateLanes, StepScratch};
 use crate::weights::FrozenCharLm;
 use zskip_core::{OffsetEncoder, StatePruner};
 use zskip_telemetry::Stage;
-use zskip_tensor::Matrix;
 
 /// Skip-path policy for the batched step.
 #[derive(Clone, Copy, Debug)]
@@ -83,18 +82,6 @@ pub struct BatchStep<'a, I, S> {
     pub c: &'a StateLanes<S>,
     /// One input unit per lane (token id or pixel).
     pub inputs: &'a [I],
-}
-
-/// Outputs of one batched step.
-pub struct BatchStepOutput<S> {
-    /// Head logits (`B × output_dim`).
-    pub logits: Matrix,
-    /// Next pruned hidden state (`B × dh`).
-    pub h: StateLanes<S>,
-    /// Next cell state (`B × cell_dim`).
-    pub c: StateLanes<S>,
-    /// Sparsity accounting for this step.
-    pub stats: StepStats,
 }
 
 /// Stateless batched stepper over frozen weights of any model family.
@@ -178,27 +165,6 @@ impl<M: FrozenModel> DynamicBatcher<M> {
             run = 0;
         }
         anchors
-    }
-
-    /// Runs one batched recurrent + head step in a fresh scratch,
-    /// returning owned outputs — the convenient form for tests and
-    /// one-shot callers. The engine's hot loop uses
-    /// [`Self::step_into`] instead, which allocates nothing in steady
-    /// state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty, shapes disagree, or an input fails
-    /// the model's validation (out-of-vocab token, non-finite pixel).
-    pub fn step(&self, batch: BatchStep<'_, M::Input, M::State>) -> BatchStepOutput<M::State> {
-        let mut scratch = StepScratch::new();
-        let stats = self.step_into(batch, &mut scratch);
-        BatchStepOutput {
-            logits: scratch.head.logits,
-            h: scratch.h_next,
-            c: scratch.c_next,
-            stats,
-        }
     }
 
     /// Runs one batched recurrent + head step entirely inside `scratch`:
@@ -289,7 +255,7 @@ mod tests {
     use crate::weights::FrozenGruCharLm;
     use zskip_core::OffsetEncoder;
     use zskip_nn::models::CharLm;
-    use zskip_tensor::SeedableStream;
+    use zskip_tensor::{Matrix, SeedableStream};
 
     fn tiny() -> DynamicBatcher {
         let mut rng = SeedableStream::new(5);
@@ -306,14 +272,18 @@ mod tests {
         let b = tiny();
         let h = StateLanes::zeros(3, 12);
         let c = StateLanes::zeros(3, 12);
-        let out = b.step(BatchStep {
-            h: &h,
-            c: &c,
-            inputs: &[1, 2, 3],
-        });
-        assert_eq!((out.logits.rows(), out.logits.cols()), (3, 10));
-        assert_eq!((out.h.rows(), out.h.cols()), (3, 12));
-        assert_eq!(out.stats.lanes, 3);
+        let mut out = StepScratch::new();
+        let stats = b.step_into(
+            BatchStep {
+                h: &h,
+                c: &c,
+                inputs: &[1, 2, 3],
+            },
+            &mut out,
+        );
+        assert_eq!((out.head.logits.rows(), out.head.logits.cols()), (3, 10));
+        assert_eq!((out.h_next.rows(), out.h_next.cols()), (3, 12));
+        assert_eq!(stats.lanes, 3);
     }
 
     #[test]
@@ -322,13 +292,17 @@ mod tests {
         let b = DynamicBatcher::new(model, 0.15, SkipPolicy::default());
         let h = StateLanes::zeros(2, 12);
         let c = StateLanes::zeros(2, 0);
-        let out = b.step(BatchStep {
-            h: &h,
-            c: &c,
-            inputs: &[1, 2],
-        });
-        assert_eq!((out.logits.rows(), out.logits.cols()), (2, 10));
-        assert_eq!((out.c.rows(), out.c.cols()), (2, 0));
+        let mut out = StepScratch::new();
+        b.step_into(
+            BatchStep {
+                h: &h,
+                c: &c,
+                inputs: &[1, 2],
+            },
+            &mut out,
+        );
+        assert_eq!((out.head.logits.rows(), out.head.logits.cols()), (2, 10));
+        assert_eq!((out.c_next.rows(), out.c_next.cols()), (2, 0));
     }
 
     #[test]
@@ -386,11 +360,14 @@ mod tests {
         let b = tiny();
         let h = StateLanes::zeros(0, 12);
         let c = StateLanes::zeros(0, 12);
-        let _ = b.step(BatchStep {
-            h: &h,
-            c: &c,
-            inputs: &[],
-        });
+        let _ = b.step_into(
+            BatchStep {
+                h: &h,
+                c: &c,
+                inputs: &[],
+            },
+            &mut StepScratch::new(),
+        );
     }
 
     #[test]
@@ -411,12 +388,16 @@ mod tests {
         let mut pruned = raw.clone();
         b.pruner.prune_slice(pruned.as_mut_slice());
         let c = StateLanes::zeros(2, 12);
-        let out = b.step(BatchStep {
-            h: &StateLanes::from(pruned),
-            c: &c,
-            inputs: &[0, 9],
-        });
-        for v in out.h.as_slice() {
+        let mut out = StepScratch::new();
+        b.step_into(
+            BatchStep {
+                h: &StateLanes::from(pruned),
+                c: &c,
+                inputs: &[0, 9],
+            },
+            &mut out,
+        );
+        for v in out.h_next.as_slice() {
             assert!(*v == 0.0 || v.abs() >= b.threshold());
         }
     }
@@ -435,13 +416,16 @@ mod tests {
         );
         let h = StateLanes::zeros(1, 6);
         let c = StateLanes::zeros(1, 6);
-        let out = batcher.step(BatchStep {
-            h: &h,
-            c: &c,
-            inputs: &[0],
-        });
-        assert!(!out.stats.used_sparse_path);
-        assert_eq!(out.stats.fetched_rows, 6);
-        assert_eq!(out.stats.skip_fraction, 0.0);
+        let stats = batcher.step_into(
+            BatchStep {
+                h: &h,
+                c: &c,
+                inputs: &[0],
+            },
+            &mut StepScratch::new(),
+        );
+        assert!(!stats.used_sparse_path);
+        assert_eq!(stats.fetched_rows, 6);
+        assert_eq!(stats.skip_fraction, 0.0);
     }
 }

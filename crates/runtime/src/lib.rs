@@ -77,7 +77,7 @@ pub mod model;
 pub mod snapshot;
 pub mod weights;
 
-pub use batcher::{BatchStep, BatchStepOutput, DynamicBatcher, SkipPolicy, StepStats};
+pub use batcher::{BatchStep, DynamicBatcher, SkipPolicy, StepStats};
 pub use engine::{Engine, EngineConfig, EngineError, EngineStats, SessionId, StepResult};
 pub use model::{
     FrozenModel, HeadScratch, InputSpec, ScalarDomain, SkipPlan, StateLanes, StateScalar,

@@ -26,7 +26,7 @@ use zskip_runtime::{
     BatchStep, DynamicBatcher, Embedding, Engine, EngineConfig, EngineError, Frozen, FrozenCharLm,
     FrozenGru, FrozenGruCharLm, FrozenHead, FrozenModel, FrozenQuantizedCharLm,
     FrozenSeqClassifier, FrozenWordLm, HeadScratch, ModelSnapshot, SessionId, SkipPolicy,
-    StateLanes,
+    StateLanes, StepScratch,
 };
 use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 
@@ -106,13 +106,14 @@ proptest! {
             Matrix::from_fn(b, hidden, |_, _| rng.uniform(-1.0, 1.0)));
         let tokens: Vec<usize> = (0..b).map(|_| rng.index(vocab)).collect();
 
-        let s = sparse.step(BatchStep { h: &h, c: &c, inputs: &tokens });
-        let d = dense.step(BatchStep { h: &h, c: &c, inputs: &tokens });
-        prop_assert!(s.stats.used_sparse_path);
-        prop_assert!(!d.stats.used_sparse_path);
-        assert_bits(s.h.as_slice(), d.h.as_slice(), "h");
-        assert_bits(s.c.as_slice(), d.c.as_slice(), "c");
-        assert_bits(s.logits.as_slice(), d.logits.as_slice(), "logits");
+        let (mut s, mut d) = (StepScratch::new(), StepScratch::new());
+        let s_stats = sparse.step_into(BatchStep { h: &h, c: &c, inputs: &tokens }, &mut s);
+        let d_stats = dense.step_into(BatchStep { h: &h, c: &c, inputs: &tokens }, &mut d);
+        prop_assert!(s_stats.used_sparse_path);
+        prop_assert!(!d_stats.used_sparse_path);
+        assert_bits(s.h_next.as_slice(), d.h_next.as_slice(), "h");
+        assert_bits(s.c_next.as_slice(), d.c_next.as_slice(), "c");
+        assert_bits(s.head.logits.as_slice(), d.head.logits.as_slice(), "logits");
     }
 
     /// GRU variant of the kernel equivalence: the 3-gate `Wh` product
@@ -137,12 +138,13 @@ proptest! {
         let c = StateLanes::zeros(b, 0);
         let tokens: Vec<usize> = (0..b).map(|_| rng.index(vocab)).collect();
 
-        let s = sparse.step(BatchStep { h: &h, c: &c, inputs: &tokens });
-        let d = dense.step(BatchStep { h: &h, c: &c, inputs: &tokens });
-        prop_assert!(s.stats.used_sparse_path);
-        prop_assert!(!d.stats.used_sparse_path);
-        assert_bits(s.h.as_slice(), d.h.as_slice(), "h");
-        assert_bits(s.logits.as_slice(), d.logits.as_slice(), "logits");
+        let (mut s, mut d) = (StepScratch::new(), StepScratch::new());
+        let s_stats = sparse.step_into(BatchStep { h: &h, c: &c, inputs: &tokens }, &mut s);
+        let d_stats = dense.step_into(BatchStep { h: &h, c: &c, inputs: &tokens }, &mut d);
+        prop_assert!(s_stats.used_sparse_path);
+        prop_assert!(!d_stats.used_sparse_path);
+        assert_bits(s.h_next.as_slice(), d.h_next.as_slice(), "h");
+        assert_bits(s.head.logits.as_slice(), d.head.logits.as_slice(), "logits");
     }
 
     /// A frozen engine session replays the LSTM char-LM training forward
@@ -406,14 +408,15 @@ proptest! {
                 .collect())
             .collect();
 
+        let (mut s, mut d) = (StepScratch::new(), StepScratch::new());
         for t in 0..steps {
             let tokens: Vec<usize> = (0..b).map(|_| rng.index(vocab)).collect();
             let h = StateLanes::from_vec(b, hidden, h_lanes.concat());
             let c = StateLanes::from_vec(b, hidden, c_lanes.concat());
-            let s = sparse.step(BatchStep { h: &h, c: &c, inputs: &tokens });
-            let d = dense.step(BatchStep { h: &h, c: &c, inputs: &tokens });
-            prop_assert!(s.stats.used_sparse_path);
-            prop_assert!(!d.stats.used_sparse_path);
+            let s_stats = sparse.step_into(BatchStep { h: &h, c: &c, inputs: &tokens }, &mut s);
+            let d_stats = dense.step_into(BatchStep { h: &h, c: &c, inputs: &tokens }, &mut d);
+            prop_assert!(s_stats.used_sparse_path);
+            prop_assert!(!d_stats.used_sparse_path);
             for (lane, &tok) in tokens.iter().enumerate() {
                 // Golden reference: the sequential integer step on this
                 // lane's codes alone.
@@ -421,14 +424,14 @@ proptest! {
                 one_hot[tok] = 1.0;
                 let xq = reference.quantize_input(&one_hot);
                 let step = reference.step(&xq, &h_lanes[lane], &c_lanes[lane]);
-                prop_assert_eq!(s.h.row(lane), &step.h[..], "sparse h, t={} lane={}", t, lane);
-                prop_assert_eq!(s.c.row(lane), &step.c[..], "sparse c, t={} lane={}", t, lane);
-                prop_assert_eq!(d.h.row(lane), &step.h[..], "dense h, t={} lane={}", t, lane);
-                prop_assert_eq!(d.c.row(lane), &step.c[..], "dense c, t={} lane={}", t, lane);
+                prop_assert_eq!(s.h_next.row(lane), &step.h[..], "sparse h, t={} lane={}", t, lane);
+                prop_assert_eq!(s.c_next.row(lane), &step.c[..], "sparse c, t={} lane={}", t, lane);
+                prop_assert_eq!(d.h_next.row(lane), &step.h[..], "dense h, t={} lane={}", t, lane);
+                prop_assert_eq!(d.c_next.row(lane), &step.c[..], "dense c, t={} lane={}", t, lane);
                 h_lanes[lane] = step.h;
                 c_lanes[lane] = step.c;
             }
-            assert_bits(s.logits.as_slice(), d.logits.as_slice(), "quantized logits");
+            assert_bits(s.head.logits.as_slice(), d.head.logits.as_slice(), "quantized logits");
         }
     }
 

@@ -57,6 +57,8 @@
 //! server.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod error;
 pub mod loadgen;

@@ -1,16 +1,14 @@
 //! Synthetic traffic driver: sustained waves of open / submit / recv /
 //! close against a running [`Server`].
 //!
-//! Used by `examples/serve_many.rs` and the `serve` benchmark to measure
-//! streams/sec and tokens/sec at a given shard count — and, since the
-//! telemetry pass, the client-observed latency distribution: the driver
-//! times every token from `send` to `recv`, so its percentiles include
-//! queue wait, batching delay and the step itself, exactly what a real
-//! caller experiences.
+//! Used by `examples/serve.rs` and the `serve` criterion bench to
+//! measure streams/sec and tokens/sec at a given shard count, and the
+//! client-observed latency distribution: the driver times every token
+//! from `send` to `recv`, so its percentiles include queue wait,
+//! batching delay and the step itself, exactly what a real caller
+//! experiences.
 
 use crate::{ServeError, Server, StreamId};
-use serde::value::Value;
-use serde::Serialize;
 use std::time::{Duration, Instant};
 use zskip_runtime::{FrozenModel, InputSpec};
 use zskip_telemetry::{HistogramSnapshot, SpanKind};
@@ -34,12 +32,6 @@ pub struct LoadConfig {
     /// time exceeds this counts as a deadline miss, overall and
     /// per stream. `None` disables miss accounting.
     pub deadline: Option<Duration>,
-    /// Print a percentile/stage snapshot (the server's [`ServerStats`]
-    /// table plus the client-observed latency line) every this many
-    /// rounds. `0` keeps the run silent.
-    ///
-    /// [`ServerStats`]: crate::ServerStats
-    pub progress_every: usize,
 }
 
 impl Default for LoadConfig {
@@ -51,7 +43,6 @@ impl Default for LoadConfig {
             churn: 0.1,
             seed: 7,
             deadline: None,
-            progress_every: 0,
         }
     }
 }
@@ -125,41 +116,6 @@ impl std::fmt::Display for LoadReport {
     }
 }
 
-impl Serialize for LoadReport {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (
-                "elapsed_ns".to_string(),
-                Value::Int(self.elapsed.as_nanos() as i128),
-            ),
-            ("tokens".to_string(), Value::Int(self.tokens as i128)),
-            ("opened".to_string(), Value::Int(self.opened as i128)),
-            ("closed".to_string(), Value::Int(self.closed as i128)),
-            (
-                "tokens_per_sec".to_string(),
-                Value::Float(self.tokens_per_sec),
-            ),
-            (
-                "stream_rounds_per_sec".to_string(),
-                Value::Float(self.stream_rounds_per_sec),
-            ),
-            ("token_latency".to_string(), self.token_latency.to_value()),
-            (
-                "deadline_misses".to_string(),
-                Value::Int(self.deadline_misses as i128),
-            ),
-            (
-                "deadline_miss_rate".to_string(),
-                Value::Float(self.deadline_miss_rate),
-            ),
-            (
-                "worst_stream_miss_rate".to_string(),
-                Value::Float(self.worst_stream_miss_rate),
-            ),
-        ])
-    }
-}
-
 /// Drives mixed open/submit/recv/close traffic through a [`Server`].
 #[derive(Clone, Copy, Debug)]
 pub struct LoadGenerator {
@@ -184,10 +140,8 @@ impl LoadGenerator {
     /// streams, a submit wave feeds `tokens_per_round` inputs to every
     /// stream (stamping each send), and a recv wave collects every
     /// result, recording its send→recv latency and deadline verdict.
-    /// With [`LoadConfig::progress_every`] set, a percentile table (the
-    /// server's own stats rendering plus the client-side latency line)
-    /// is printed at that round cadence. All streams are closed at the
-    /// end, so back-to-back runs do not accumulate sessions.
+    /// All streams are closed at the end, so back-to-back runs do not
+    /// accumulate sessions.
     pub fn run<M: FrozenModel>(&self, server: &Server<M>) -> Result<LoadReport, ServeError> {
         let cfg = self.config;
         let mut client = server.client();
@@ -261,15 +215,6 @@ impl LoadGenerator {
                         u64::from(missed),
                     );
                 }
-            }
-            if cfg.progress_every > 0 && (round + 1) % cfg.progress_every == 0 {
-                println!(
-                    "── round {}/{} ──\nclient latency {}\n{}",
-                    round + 1,
-                    cfg.rounds,
-                    latency,
-                    server.stats(),
-                );
             }
         }
         let elapsed = start.elapsed();

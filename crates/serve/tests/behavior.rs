@@ -479,7 +479,6 @@ fn load_generator_sustains_mixed_traffic() {
         churn: 0.3,
         seed: 11,
         deadline: Some(Duration::from_secs(60)),
-        ..LoadConfig::default()
     })
     .run(&server)
     .unwrap();

@@ -39,7 +39,6 @@ fn churny_trace(sample_one_in: u64, streams: usize, rounds: usize) -> TraceExpor
         churn: 0.2,
         seed: 11,
         deadline: Some(Duration::from_secs(5)),
-        progress_every: 0,
     });
     load.run(&server).expect("load run succeeds");
     let trace = server.drain_trace();

@@ -36,6 +36,8 @@
 //! nothing on any hot path allocates, and unsampled streams pay one
 //! hash-and-modulo per decision.
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod histogram;
 pub mod stage;

@@ -195,26 +195,16 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        Self::matmul_from_rows(&self.data, self.rows, rhs)
-    }
-
-    /// [`Self::matmul`] with the left operand given as a row-major slice
-    /// (`m` rows of `rhs.rows()` elements) — the same kernel without
-    /// requiring the caller to own a `Matrix` (state lanes step through
-    /// here without a copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lhs.len() != m * rhs.rows()`.
-    pub fn matmul_from_rows(lhs: &[f32], m: usize, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        Self::matmul_from_rows_into(lhs, m, rhs, &mut out);
+        Self::matmul_from_rows_into(&self.data, self.rows, rhs, &mut out);
         out
     }
 
-    /// [`Self::matmul_from_rows`] writing into a caller-provided matrix
-    /// (resized to `m × rhs.cols()`, allocation-free once its capacity
-    /// fits) — the serving runtime's scratch buffers step through here.
+    /// [`Self::matmul`] with the left operand given as a row-major slice
+    /// (`m` rows of `rhs.rows()` elements), writing into a caller-provided
+    /// matrix (resized to `m × rhs.cols()`, allocation-free once its
+    /// capacity fits) — the serving runtime's state lanes and scratch
+    /// buffers step through here without a copy.
     ///
     /// On x86-64 with AVX2 (runtime-detected, unless vetoed by
     /// `ZSKIP_FORCE_PORTABLE` — see [`crate::simd`]) the accumulation
@@ -298,33 +288,17 @@ impl Matrix {
     /// Panics on dimension mismatch or if `active_rows` is not strictly
     /// increasing and within `0..rhs.rows()`.
     pub fn matmul_sparse_rows(&self, rhs: &Matrix, active_rows: &[usize]) -> Matrix {
-        Self::matmul_sparse_rows_from(&self.data, self.rows, rhs, active_rows)
-    }
-
-    /// [`Self::matmul_sparse_rows`] with the left operand given as a
-    /// row-major slice (`m` rows of `rhs.rows()` elements) — the serving
-    /// runtime's state lanes take this entry so the sparse recurrent
-    /// product needs no `Matrix` copy of the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `active_rows` is not strictly
-    /// increasing and within `0..rhs.rows()`.
-    pub fn matmul_sparse_rows_from(
-        lhs: &[f32],
-        m: usize,
-        rhs: &Matrix,
-        active_rows: &[usize],
-    ) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        Self::matmul_sparse_rows_from_into(lhs, m, rhs, active_rows, &mut out);
+        Self::matmul_sparse_rows_from_into(&self.data, self.rows, rhs, active_rows, &mut out);
         out
     }
 
-    /// [`Self::matmul_sparse_rows_from`] writing into a caller-provided
-    /// matrix (resized to `m × rhs.cols()`, allocation-free once its
-    /// capacity fits) — the serving runtime's recurrent product lands
-    /// here every step.
+    /// [`Self::matmul_sparse_rows`] with the left operand given as a
+    /// row-major slice (`m` rows of `rhs.rows()` elements), writing into
+    /// a caller-provided matrix (resized to `m × rhs.cols()`,
+    /// allocation-free once its capacity fits) — the serving runtime's
+    /// recurrent product lands here every step, with no `Matrix` copy of
+    /// the batch.
     ///
     /// Row-blocked accumulation: per output row, the non-zero
     /// (coefficient, weight row) pairs of each 64-row chunk of
@@ -540,13 +514,6 @@ impl Matrix {
     pub fn scale(&mut self, alpha: f32) {
         for v in &mut self.data {
             *v *= alpha;
-        }
-    }
-
-    /// Replaces every element `v` with `f(v)`.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 
@@ -952,26 +919,42 @@ mod tests {
         let active: Vec<usize> = vec![0, 2, 3, 7];
         let mut out = Matrix::from_fn(1, 1, |_, _| 9.0); // wrong shape + garbage
         Matrix::matmul_from_rows_into(a.as_slice(), 3, &b, &mut out);
-        assert_eq!(out, Matrix::matmul_from_rows(a.as_slice(), 3, &b));
+        assert_eq!(out, a.matmul(&b));
         Matrix::matmul_sparse_rows_from_into(a.as_slice(), 3, &b, &active, &mut out);
-        assert_eq!(
-            out,
-            Matrix::matmul_sparse_rows_from(a.as_slice(), 3, &b, &active)
-        );
+        assert_eq!(out, a.matmul_sparse_rows(&b, &active));
     }
 }
 
 /// The f32 kernel pin: whatever body the runtime dispatch picks (AVX2
 /// twin on capable hosts, portable elsewhere or under
-/// `ZSKIP_FORCE_PORTABLE`), the public entry points must be bit-identical
-/// to the portable bodies — the same pin the i8 kernels carry in
-/// [`crate::quant`]. Random shapes, batch widths, sparsity masks and
-/// active sets, including the sub-8-column tails the SIMD loop leaves to
-/// its scalar epilogue.
+/// `ZSKIP_FORCE_PORTABLE`), the `*_into` entry points must be
+/// bit-identical to the portable bodies — the same pin the i8 kernels
+/// carry in [`crate::quant`]. Random shapes, batch widths, sparsity masks
+/// and active sets, including the sub-8-column tails the SIMD loop leaves
+/// to its scalar epilogue.
 #[cfg(test)]
 mod dispatch_pin {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// One output buffer carried from case to case, as a step scratch
+        /// is carried from step to step when the batch width changes.
+        static CARRIED: RefCell<Matrix> = RefCell::new(Matrix::zeros(2, 3));
+    }
+
+    /// Runs `kernel` into the carried buffer — still at the previous
+    /// case's shape, and NaN-filled so a missed zeroing shows — and
+    /// returns a copy of what it wrote.
+    fn into_carried(kernel: impl FnOnce(&mut Matrix)) -> Matrix {
+        CARRIED.with(|carried| {
+            let mut out = carried.borrow_mut();
+            out.as_mut_slice().fill(f32::NAN);
+            kernel(&mut out);
+            out.clone()
+        })
+    }
 
     fn masked_lhs(m: usize, k: usize, sparsity: f64, seed: u64) -> Vec<f32> {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -1007,9 +990,10 @@ mod dispatch_pin {
         ) {
             let lhs = masked_lhs(m, k, sparsity, seed);
             let rhs = Matrix::from_fn(k, n, |r, c| ((r * n + c) as f32 * 0.13).sin());
-            let dispatched = Matrix::matmul_from_rows(&lhs, m, &rhs);
+            let dispatched = into_carried(|out| Matrix::matmul_from_rows_into(&lhs, m, &rhs, out));
             let mut portable = Matrix::zeros(m, n);
             Matrix::matmul_rows_portable(&lhs, m, &rhs, portable.as_mut_slice());
+            prop_assert_eq!((dispatched.rows(), dispatched.cols()), (m, n));
             for (a, b) in dispatched.as_slice().iter().zip(portable.as_slice()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
             }
@@ -1029,9 +1013,11 @@ mod dispatch_pin {
             // covering the non-zeros — the kernels must agree regardless).
             let active: Vec<usize> = (0..k).step_by(stride).collect();
             let rhs = Matrix::from_fn(k, n, |r, c| ((r + c * 3) as f32 * 0.11).cos());
-            let dispatched = Matrix::matmul_sparse_rows_from(&lhs, m, &rhs, &active);
+            let dispatched =
+                into_carried(|out| Matrix::matmul_sparse_rows_from_into(&lhs, m, &rhs, &active, out));
             let mut portable = Matrix::zeros(m, n);
             Matrix::sparse_rows_portable(&lhs, m, &rhs, &active, portable.as_mut_slice());
+            prop_assert_eq!((dispatched.rows(), dispatched.cols()), (m, n));
             for (a, b) in dispatched.as_slice().iter().zip(portable.as_slice()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
             }

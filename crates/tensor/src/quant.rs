@@ -295,14 +295,6 @@ impl QVector {
         }
     }
 
-    /// Quantizes `values` with the provided quantizer.
-    pub fn with_quantizer(values: &[f32], quantizer: Quantizer) -> Self {
-        Self {
-            codes: quantizer.quantize_slice(values),
-            quantizer,
-        }
-    }
-
     /// The `i8` codes.
     pub fn codes(&self) -> &[i8] {
         &self.codes
@@ -526,25 +518,6 @@ impl QMatrix {
         self.gemm_t_i32(x, 1)
     }
 
-    /// Like [`Self::gemv_t_i32`] but reads only the weight rows listed in
-    /// `active` — the integer twin of
-    /// `Matrix::matmul_sparse_rows`: rows of the stored matrix whose
-    /// state code is zero in the offset encoding are never touched, so at
-    /// joint sparsity `s` only `(1-s)·rows` weight rows are streamed.
-    ///
-    /// The result is **bit-identical** to [`Self::gemv_t_i32`] whenever
-    /// `active` covers every index `r` with `x[r] != 0`: skipped terms
-    /// contribute exact zeros and `i32` addition is associative, so no
-    /// accumulation-order caveat is even needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.rows()` or if `active` is not strictly
-    /// increasing and within `0..self.rows()`.
-    pub fn gemv_t_i32_sparse_rows(&self, x: &[i8], active: &[usize]) -> Vec<i32> {
-        self.gemm_t_i32_sparse_rows(x, 1, active)
-    }
-
     /// Batched transposed integer GEMV: `lanes` state vectors stacked
     /// row-major in `x` (`lanes × rows`), producing `lanes × cols`
     /// accumulators row-major. Bit-identical to calling
@@ -588,33 +561,25 @@ impl QMatrix {
         self.gemm_t_i32_portable(x, lanes, out);
     }
 
-    /// Batched form of [`Self::gemv_t_i32_sparse_rows`]: `lanes` state
-    /// vectors stacked row-major in `x` (`lanes × rows`), reading only
-    /// the weight rows in `active`; returns `lanes × cols` accumulators.
+    /// [`Self::gemm_t_i32`] reading only the weight rows listed in
+    /// `active` — the integer twin of `Matrix::matmul_sparse_rows`: rows
+    /// of the stored matrix whose state code is zero in the offset
+    /// encoding are never touched, so at joint sparsity `s` only
+    /// `(1-s)·rows` weight rows are streamed. `lanes` state vectors are
+    /// stacked row-major in `x` (`lanes × rows`); the `lanes × cols`
+    /// accumulators land in `out` (cleared and resized, allocation-free
+    /// once its capacity fits).
     ///
     /// Row-blocked accumulation: per output lane, the non-zero
     /// (code, weight-row) pairs of each 64-row chunk are gathered and
     /// **four weight rows accumulate per pass** over the output row, so
     /// the `i32` output row is loaded/stored once per four rows. Integer
     /// addition is associative, so the blocking is bit-free — the result
-    /// equals the naive loop (and the dense product, when `active`
-    /// covers every non-zero) exactly, not just approximately. Like
+    /// equals the naive loop, and is **bit-identical** to the dense
+    /// product whenever `active` covers every index `r` with a non-zero
+    /// code in some lane (skipped terms contribute exact zeros). Like
     /// [`Self::gemm_t_i32`], the kernel dispatches to an AVX2-compiled
     /// twin of the same loop when the CPU supports it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != lanes * self.rows()` or if `active` is not
-    /// strictly increasing and within `0..self.rows()`.
-    pub fn gemm_t_i32_sparse_rows(&self, x: &[i8], lanes: usize, active: &[usize]) -> Vec<i32> {
-        let mut y = Vec::new();
-        self.gemm_t_i32_sparse_rows_into(x, lanes, active, &mut y);
-        y
-    }
-
-    /// [`Self::gemm_t_i32_sparse_rows`] writing into a caller-provided
-    /// accumulator vector (cleared and resized to `lanes × cols`,
-    /// allocation-free once its capacity fits).
     ///
     /// # Panics
     ///
@@ -649,23 +614,6 @@ impl QMatrix {
             return;
         }
         self.gemm_t_i32_sparse_rows_portable(x, lanes, active, out);
-    }
-
-    /// Like [`Self::gemv_i32`] but skips columns where `x[c] == 0`,
-    /// mirroring the accelerator's zero-state skipping. The result is
-    /// bit-identical to the dense product (skipped terms contribute zero).
-    pub fn gemv_i32_skip_zero(&self, x: &[i8]) -> Vec<i32> {
-        assert_eq!(x.len(), self.cols, "gemv dimension mismatch");
-        let mut y = vec![0i32; self.rows];
-        for (c, &v) in x.iter().enumerate() {
-            if v == 0 {
-                continue;
-            }
-            for (r, out) in y.iter_mut().enumerate() {
-                *out += (self.codes[r * self.cols + c] as i32) * (v as i32);
-            }
-        }
-        y
     }
 }
 
@@ -901,6 +849,14 @@ impl QMatrix {
 mod tests {
     use super::*;
 
+    /// [`QMatrix::gemm_t_i32_sparse_rows_into`] into a buffer left at a
+    /// wrong length and garbage-filled, as a reused step scratch is.
+    fn sparse_rows(qm: &QMatrix, x: &[i8], lanes: usize, active: &[usize]) -> Vec<i32> {
+        let mut out = vec![i32::MIN; 3];
+        qm.gemm_t_i32_sparse_rows_into(x, lanes, active, &mut out);
+        out
+    }
+
     #[test]
     fn quantizer_round_trip_error_bounded_by_half_step() {
         let q = Quantizer::from_max_abs(3.0);
@@ -1019,14 +975,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_zero_gemv_is_bit_identical_to_dense() {
-        let m = Matrix::from_fn(6, 10, |r, c| ((r + c) % 5) as f32 - 2.0);
-        let qm = QMatrix::from_matrix(&m);
-        let x: Vec<i8> = vec![0, 3, 0, 0, -7, 0, 0, 0, 9, 0];
-        assert_eq!(qm.gemv_i32(&x), qm.gemv_i32_skip_zero(&x));
-    }
-
-    #[test]
     fn gemv_t_matches_explicit_transpose() {
         let m = Matrix::from_fn(7, 5, |r, c| ((r * 5 + c) as f32 * 0.19).sin());
         let qm = QMatrix::from_matrix(&m);
@@ -1085,10 +1033,10 @@ mod tests {
         let qm = QMatrix::from_matrix(&m);
         let x: Vec<i8> = vec![0, 5, 0, -3, 0, 0, 127, 0, -127, 0, 1, 0];
         let active: Vec<usize> = (0..12).filter(|r| x[*r] != 0).collect();
-        assert_eq!(qm.gemv_t_i32_sparse_rows(&x, &active), qm.gemv_t_i32(&x));
+        assert_eq!(sparse_rows(&qm, &x, 1, &active), qm.gemv_t_i32(&x));
         // A superset of the non-zero rows is equally exact.
         let all: Vec<usize> = (0..12).collect();
-        assert_eq!(qm.gemv_t_i32_sparse_rows(&x, &all), qm.gemv_t_i32(&x));
+        assert_eq!(sparse_rows(&qm, &x, 1, &all), qm.gemv_t_i32(&x));
     }
 
     #[test]
@@ -1096,14 +1044,14 @@ mod tests {
         let m = Matrix::from_fn(4, 6, |_, _| 1.0);
         let qm = QMatrix::from_matrix(&m);
         let x: Vec<i8> = vec![1, 2, 3, 4];
-        assert_eq!(qm.gemv_t_i32_sparse_rows(&x, &[]), vec![0i32; 6]);
+        assert_eq!(sparse_rows(&qm, &x, 1, &[]), vec![0i32; 6]);
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn gemv_t_sparse_rows_rejects_unsorted_active_set() {
         let qm = QMatrix::from_matrix(&Matrix::zeros(3, 2));
-        let _ = qm.gemv_t_i32_sparse_rows(&[1, 1, 1], &[2, 0]);
+        let _ = sparse_rows(&qm, &[1, 1, 1], 1, &[2, 0]);
     }
 
     #[test]
@@ -1123,12 +1071,18 @@ mod tests {
             })
             .collect();
         let active: Vec<usize> = (0..33).step_by(2).collect();
+        // One output buffer carried through both entry points, starting
+        // at a wrong length with garbage in it.
+        let mut out = vec![i32::MIN; 5];
         let mut dense = vec![0i32; 2 * 17];
         qm.gemm_t_i32_portable(&x, 2, &mut dense);
-        assert_eq!(qm.gemm_t_i32(&x, 2), dense);
+        qm.gemm_t_i32_into(&x, 2, &mut out);
+        assert_eq!(out, dense);
         let mut sparse = vec![0i32; 2 * 17];
         qm.gemm_t_i32_sparse_rows_portable(&x, 2, &active, &mut sparse);
-        assert_eq!(qm.gemm_t_i32_sparse_rows(&x, 2, &active), sparse);
+        out.fill(i32::MIN);
+        qm.gemm_t_i32_sparse_rows_into(&x, 2, &active, &mut out);
+        assert_eq!(out, sparse);
     }
 
     #[test]
@@ -1145,7 +1099,7 @@ mod tests {
         let active: Vec<usize> = (0..7)
             .filter(|r| lanes.iter().any(|l| l[*r] != 0))
             .collect();
-        let sparse = qm.gemm_t_i32_sparse_rows(&flat, 3, &active);
+        let sparse = sparse_rows(&qm, &flat, 3, &active);
         for (lane, x) in lanes.iter().enumerate() {
             let reference = qm.gemv_t_i32(x);
             assert_eq!(&batched[lane * 5..(lane + 1) * 5], &reference[..]);

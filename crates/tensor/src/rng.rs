@@ -101,13 +101,6 @@ impl SeedableStream {
         }
     }
 
-    /// Fills a slice with uniform samples in `[lo, hi)`.
-    pub fn fill_uniform(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out {
-            *v = self.uniform(lo, hi);
-        }
-    }
-
     /// Standard normal sample (Box–Muller).
     pub fn normal(&mut self) -> f32 {
         let u1 = self.unit_f64().max(f64::EPSILON) as f32;

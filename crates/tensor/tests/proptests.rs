@@ -1,12 +1,44 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
+use std::cell::RefCell;
 use zskip_tensor::{lut, Matrix, QFormat, QMatrix, QVector, Quantizer};
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-10.0f32..10.0, r * c)
             .prop_map(move |data| Matrix::from_vec(r, c, data))
+    })
+}
+
+thread_local! {
+    /// Output buffers carried from case to case, as a step scratch is
+    /// carried from step to step when the batch width changes.
+    static CARRIED_F32: RefCell<Matrix> = RefCell::new(Matrix::zeros(2, 3));
+    static CARRIED_I32: RefCell<Vec<i32>> = RefCell::new(vec![0; 3]);
+}
+
+/// `h · w` over the `active` rows of `w`, through
+/// [`Matrix::matmul_sparse_rows_from_into`] into the carried buffer —
+/// still at the previous case's shape, and NaN-filled so a missed
+/// zeroing shows.
+fn sparse_matmul_carried(h: &Matrix, w: &Matrix, active: &[usize]) -> Matrix {
+    CARRIED_F32.with(|carried| {
+        let mut out = carried.borrow_mut();
+        out.as_mut_slice().fill(f32::NAN);
+        Matrix::matmul_sparse_rows_from_into(h.as_slice(), h.rows(), w, active, &mut out);
+        out.clone()
+    })
+}
+
+/// [`QMatrix::gemm_t_i32_sparse_rows_into`] into the carried buffer,
+/// still at the previous case's length and garbage-filled.
+fn sparse_gemm_t_carried(qm: &QMatrix, x: &[i8], lanes: usize, active: &[usize]) -> Vec<i32> {
+    CARRIED_I32.with(|carried| {
+        let mut out = carried.borrow_mut();
+        out.fill(i32::MIN);
+        qm.gemm_t_i32_sparse_rows_into(x, lanes, active, &mut out);
+        out.clone()
     })
 }
 
@@ -71,22 +103,6 @@ proptest! {
     }
 
     #[test]
-    fn quantized_gemv_skip_equals_dense(
-        m in small_matrix(10),
-        seed in 0u8..255,
-    ) {
-        let qm = QMatrix::from_matrix(&m);
-        // Build a sparse i8 vector deterministically from the seed.
-        let x: Vec<i8> = (0..m.cols())
-            .map(|i| {
-                let v = (i as u32).wrapping_mul(2654435761).wrapping_add(seed as u32);
-                if v.is_multiple_of(3) { (v % 251) as i8 } else { 0 }
-            })
-            .collect();
-        prop_assert_eq!(qm.gemv_i32(&x), qm.gemv_i32_skip_zero(&x));
-    }
-
-    #[test]
     fn qvector_round_trip_error_bounded(
         xs in proptest::collection::vec(-5.0f32..5.0, 1..64),
     ) {
@@ -131,8 +147,9 @@ proptest! {
         }
         let w = Matrix::from_fn(h.cols(), cols, |r, c| ((r * cols + c) as f32 * 0.13).sin());
         let active = h.jointly_nonzero_columns();
-        let sparse = h.matmul_sparse_rows(&w, &active);
+        let sparse = sparse_matmul_carried(&h, &w, &active);
         let dense = h.matmul(&w);
+        prop_assert_eq!((sparse.rows(), sparse.cols()), (dense.rows(), dense.cols()));
         for (s, d) in sparse.as_slice().iter().zip(dense.as_slice()) {
             prop_assert_eq!(s.to_bits(), d.to_bits(), "{} vs {}", s, d);
         }
@@ -168,14 +185,14 @@ proptest! {
             .map(|r| if active.binary_search(&r).is_ok() { x[r] } else { 0 })
             .collect();
         let reference = qm.gemv_t_i32(&restricted);
-        prop_assert_eq!(&qm.gemv_t_i32_sparse_rows(&x, &active), &reference);
+        prop_assert_eq!(&sparse_gemm_t_carried(&qm, &x, 1, &active), &reference);
         if restricted == x {
-            prop_assert_eq!(&qm.gemv_t_i32_sparse_rows(&x, &active), &qm.gemv_t_i32(&x));
+            prop_assert_eq!(&sparse_gemm_t_carried(&qm, &x, 1, &active), &qm.gemv_t_i32(&x));
         }
         // Edge cases on the same matrix: no active rows, all rows active.
-        prop_assert_eq!(qm.gemv_t_i32_sparse_rows(&x, &[]), vec![0i32; m.cols()]);
+        prop_assert_eq!(sparse_gemm_t_carried(&qm, &x, 1, &[]), vec![0i32; m.cols()]);
         let all: Vec<usize> = (0..rows).collect();
-        prop_assert_eq!(&qm.gemv_t_i32_sparse_rows(&x, &all), &qm.gemv_t_i32(&x));
+        prop_assert_eq!(&sparse_gemm_t_carried(&qm, &x, 1, &all), &qm.gemv_t_i32(&x));
     }
 
     #[test]
@@ -199,7 +216,7 @@ proptest! {
         let active: Vec<usize> = (0..rows)
             .filter(|r| (0..lanes).any(|l| flat[l * rows + r] != 0))
             .collect();
-        let sparse = qm.gemm_t_i32_sparse_rows(&flat, lanes, &active);
+        let sparse = sparse_gemm_t_carried(&qm, &flat, lanes, &active);
         let dense = qm.gemm_t_i32(&flat, lanes);
         for lane in 0..lanes {
             let reference = qm.gemv_t_i32(&flat[lane * rows..(lane + 1) * rows]);

@@ -31,6 +31,8 @@
 //! checksums — see `docs/WIRE.md` for the frame grammar, the
 //! handshake, versioning rules, and the snapshot container format.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod error;
 pub mod frame;

@@ -4,8 +4,8 @@
 //! hang up and reconnect between rounds. Client-observed token latency
 //! percentiles print at the end, next to the server's own wire-lane
 //! view of the same traffic, and drop into a `BENCH_serve_tcp.json`
-//! evidence file (same schema as every other lane; diff runs with
-//! `bench_compare`).
+//! evidence file (same schema as every other lane, checked by
+//! `bench_compare --schema-only`).
 //!
 //! ```sh
 //! cargo run --release --example serve_tcp

@@ -13,7 +13,10 @@
 //! ```
 //!
 //! The model family is read from the snapshot header — all five
-//! frozen families dispatch through the same loop below.
+//! frozen families dispatch through the same loop below. `--threshold`
+//! defaults to the threshold a quantized snapshot bakes in, else 0.2.
+//! Bad arguments (`--shards 0`, a threshold a quantized snapshot
+//! cannot serve) exit with status 2 and a one-line message.
 
 use std::io::Read;
 use zskip::runtime::{
@@ -25,7 +28,7 @@ use zskip::wire::{TcpServer, WireModel};
 
 struct Args {
     snapshot: String,
-    threshold: f32,
+    threshold: Option<f32>,
     shards: usize,
     addr: String,
 }
@@ -37,7 +40,7 @@ fn parse_args() -> Result<Args, String> {
     )?;
     let mut parsed = Args {
         snapshot,
-        threshold: 0.2,
+        threshold: None,
         shards: 2,
         addr: "127.0.0.1:0".into(),
     };
@@ -45,19 +48,34 @@ fn parse_args() -> Result<Args, String> {
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
             "--threshold" => {
-                parsed.threshold = value.parse().map_err(|e| format!("--threshold: {e}"))?
+                parsed.threshold = Some(value.parse().map_err(|e| format!("--threshold: {e}"))?)
             }
             "--shards" => parsed.shards = value.parse().map_err(|e| format!("--shards: {e}"))?,
             "--addr" => parsed.addr = value,
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    if parsed.shards == 0 {
+        return Err("--shards: must be at least 1".into());
+    }
     Ok(parsed)
+}
+
+/// Rejects command-line input: one line on stderr, exit status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 fn serve<M: WireModel>(bytes: &[u8], args: &Args) -> Result<(), String> {
     let model = M::from_snapshot_bytes(bytes).map_err(|e| format!("snapshot rejected: {e}"))?;
-    let config = ServeConfig::for_threshold(args.threshold).with_shards(args.shards);
+    let threshold = match (args.threshold, model.baked_threshold()) {
+        (Some(t), Some(baked)) if t != baked => usage_error(&format!(
+            "--threshold {t}: this quantized snapshot was frozen at threshold {baked}"
+        )),
+        (t, baked) => t.or(baked).unwrap_or(0.2),
+    };
+    let config = ServeConfig::for_threshold(threshold).with_shards(args.shards);
     let server = Server::start(model, config);
     let tcp = TcpServer::bind(server, args.addr.as_str()).map_err(|e| format!("bind: {e}"))?;
     // The harness contract: exactly one `PORT <n>` line on stdout once
@@ -71,13 +89,7 @@ fn serve<M: WireModel>(bytes: &[u8], args: &Args) -> Result<(), String> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| usage_error(&e));
     let run = || -> Result<(), String> {
         let bytes =
             std::fs::read(&args.snapshot).map_err(|e| format!("read {}: {e}", args.snapshot))?;

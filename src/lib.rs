@@ -20,7 +20,7 @@
 //! | [`baselines`] | `zskip-baselines` | ESE and CBSR analytic models |
 //! | [`runtime`] | `zskip-runtime` | batched CPU serving engine that skips ineffectual MACs — generic over the model family (LSTM/GRU char-LM, word-LM, classifier) |
 //! | [`serve`] | `zskip-serve` | sharded multi-threaded serving layer: workers, backpressure, TTL, stats, `recv_any` multiplexing |
-//! | [`telemetry`] | `zskip-telemetry` | lock-free latency histograms, per-stage step timing, bounded event rings (see `examples/serve_telemetry.rs`) |
+//! | [`telemetry`] | `zskip-telemetry` | lock-free latency histograms, per-stage step timing, bounded event rings (see `examples/serve.rs`) |
 //! | [`wire`] | `zskip-wire` | framed TCP protocol, `TcpServer` front-end, blocking `RemoteClient`, frozen-model snapshots over the process boundary (see `docs/WIRE.md`) |
 //!
 //! # Quickstart
@@ -42,17 +42,15 @@
 //! # Serving
 //!
 //! Trained pruned models can be served on CPU with real skipping — see
-//! [`runtime`] for the train → freeze → serve quickstart,
-//! `examples/serve_char_lm.rs` for a multi-stream serving demo, and
-//! `examples/serve_word_lm.rs` for the embedding-input family through
-//! the sharded `serve` front-end. All four task-model families (char-LM,
-//! GRU char-LM, word-LM, sequential classifier) freeze via
-//! `zskip::nn::Freezable` and serve through the same generic engine —
-//! plus an 8-bit quantized char-LM family
-//! (`zskip::runtime::FrozenQuantizedCharLm`, see
-//! `examples/serve_quantized.rs`) that serves the accelerator's integer
-//! datapath with `i8` session state, bit-identical to
-//! [`core::QuantizedLstm`]:
+//! [`runtime`] for the train → freeze → serve quickstart, and
+//! `examples/serve.rs` (`-- char|word|quantized`) for multi-stream
+//! serving through the sharded `serve` front-end. All four task-model
+//! families (char-LM, GRU char-LM, word-LM, sequential classifier)
+//! freeze via `zskip::nn::Freezable` and serve through the same generic
+//! engine — plus an 8-bit quantized char-LM family
+//! (`zskip::runtime::FrozenQuantizedCharLm`) that serves the
+//! accelerator's integer datapath with `i8` session state, bit-identical
+//! to [`core::QuantizedLstm`]:
 //!
 //! ```
 //! use zskip::nn::models::CharLm;
@@ -73,6 +71,8 @@
 //!
 //! See `examples/` for end-to-end walkthroughs (training with pruning,
 //! running the simulator, stepping the dataflow, serving).
+
+#![forbid(unsafe_code)]
 
 pub use zskip_accel as accel;
 pub use zskip_baselines as baselines;

@@ -269,3 +269,61 @@ fn quantized_char_lm_is_bit_identical_across_the_process_boundary() {
         0x5EED,
     );
 }
+
+/// Runs `zskip_wire_server` on `snapshot` with `args`, closes its stdin
+/// once it has printed its first line (or exited), and returns that
+/// line, the exit status and everything it wrote to stderr.
+fn run_server_once(snapshot: &Path, args: &[&str]) -> (String, std::process::ExitStatus, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zskip_wire_server"))
+        .arg(snapshot)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn zskip_wire_server");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("child stdout"))
+        .read_line(&mut line)
+        .expect("read first line");
+    drop(child.stdin.take());
+    let output = child.wait_with_output().expect("wait for server exit");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    (line, output.status, stderr)
+}
+
+/// Writes `model`'s snapshot to a fresh file and returns its path.
+fn saved<M: WireModel>(model: M, family: &str) -> PathBuf {
+    let path = snapshot_path(family);
+    model.save_snapshot(&path).expect("save snapshot");
+    path
+}
+
+/// Bad command-line input is a usage error (status 2, one line), never
+/// a panic from an assertion deeper in the server.
+#[test]
+fn wire_server_rejects_bad_arguments_with_a_message() {
+    let quantized = FrozenQuantizedCharLm::random(8, 6, THRESHOLD, 62);
+    let path = saved(quantized, "quantized-bad-arguments");
+    for args in [["--shards", "0"], ["--threshold", "0.5"]] {
+        let (line, status, stderr) = run_server_once(&path, &args);
+        assert_eq!(status.code(), Some(2), "{args:?}: stderr {stderr:?}");
+        assert!(line.is_empty(), "{args:?}: printed {line:?}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim().lines().count(), 1, "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn wire_server_takes_a_quantized_snapshots_own_threshold() {
+    let quantized = FrozenQuantizedCharLm::random(8, 6, 0.35, 63);
+    let path = saved(quantized, "quantized-baked-threshold");
+    let (line, status, stderr) = run_server_once(&path, &["--shards", "1"]);
+    assert!(
+        line.starts_with("PORT "),
+        "banner {line:?}, stderr {stderr:?}"
+    );
+    assert!(status.success(), "server exited with {status}: {stderr}");
+    let _ = std::fs::remove_file(&path);
+}

@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the computational kernels: the quantized
 //! GEMV with and without zero skipping (the software analogue of the
 //! accelerator's gain), the i8 family's batched post-GEMM tail, state
-//! pruning, and the offset encoder. Medians land in `BENCH_kernels.json`.
+//! pruning, and the offset encoder.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use zskip_core::{OffsetEncoder, QuantizedLstm, StatePruner};
 use zskip_nn::{LstmCell, StateTransform};
@@ -149,16 +149,4 @@ criterion_group!(
     bench_decode
 );
 
-/// Runs the groups, then drops every measured median into
-/// `BENCH_kernels.json` (see `zskip_bench::evidence`).
-fn main() {
-    benches();
-    let mut evidence = zskip_bench::Evidence::new("kernels");
-    for m in criterion::take_measurements() {
-        evidence = evidence.metric(&m.id, m.median_nanos);
-    }
-    match evidence.write() {
-        Ok(path) => eprintln!("bench evidence: {}", path.display()),
-        Err(e) => eprintln!("bench evidence write failed: {e}"),
-    }
-}
+criterion_main!(benches);

@@ -381,35 +381,18 @@ fn pointwise_share(model: FrozenCharLm, rounds: u32) -> (f64, f64) {
     (total / f64::from(rounds), pointwise / total * 100.0)
 }
 
-/// Runs the groups, then drops every measured median into
-/// `BENCH_runtime.json` (see `zskip_bench::evidence`): the evidence file
-/// is what `docs/BENCH_RESULTS.md` entries cite, schema-checked by
-/// `bench_compare --schema-only`.
+/// Runs the groups, then prints the pointwise stage share of a smooth
+/// and a LUT step as `stage_share_dh512_b1_80%/<metric>/<family>: <value>`
+/// lines.
 fn main() {
     benches();
-    let mut evidence = zskip_bench::Evidence::new("runtime");
-    for m in criterion::take_measurements() {
-        evidence = evidence.metric(&m.id, m.median_nanos);
-    }
     const SHARE_ROUNDS: u32 = 4096;
-    let (smooth_ns, smooth_share) =
-        pointwise_share(FrozenCharLm::random(VOCAB, DH, 42), SHARE_ROUNDS);
-    let (lut_ns, lut_share) =
-        pointwise_share(FrozenCharLm::random_lut(VOCAB, DH, 42), SHARE_ROUNDS);
-    eprintln!(
-        "pointwise share @80% sparsity, dh={DH}: smooth {smooth_share:.1}% of {smooth_ns:.0} ns, \
-         lut {lut_share:.1}% of {lut_ns:.0} ns"
-    );
-    evidence = evidence
-        .metric(
-            "stage_share_dh512_b1_80%/pointwise_pct/smooth",
-            smooth_share,
-        )
-        .metric("stage_share_dh512_b1_80%/pointwise_pct/lut", lut_share)
-        .metric("stage_share_dh512_b1_80%/step_ns/smooth", smooth_ns)
-        .metric("stage_share_dh512_b1_80%/step_ns/lut", lut_ns);
-    match evidence.write() {
-        Ok(path) => eprintln!("bench evidence: {}", path.display()),
-        Err(e) => eprintln!("bench evidence write failed: {e}"),
+    for (family, model) in [
+        ("smooth", FrozenCharLm::random(VOCAB, DH, 42)),
+        ("lut", FrozenCharLm::random_lut(VOCAB, DH, 42)),
+    ] {
+        let (step_ns, share) = pointwise_share(model, SHARE_ROUNDS);
+        println!("stage_share_dh{DH}_b1_80%/pointwise_pct/{family}: {share:.1}");
+        println!("stage_share_dh{DH}_b1_80%/step_ns/{family}: {step_ns:.0}");
     }
 }

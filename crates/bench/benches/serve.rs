@@ -12,25 +12,19 @@
 //!   (`O(batch)`).
 //! * `serve_session` — what a session costs: one `open` + `close` pair
 //!   on an idle 2-shard server and beside a second client driving 64
-//!   active streams, plus the extra metric `rss_kib_per_stream` (RSS
-//!   delta of 1024 opens ÷ 1024). Neither depends on
+//!   active streams, plus the printed line
+//!   `serve_session/rss_kib_per_stream: <KiB>` (RSS delta of 1024 opens
+//!   ÷ 1024). Neither depends on
 //!   `ServeConfig::result_capacity`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use zskip_runtime::{Engine, EngineConfig, FrozenCharLm};
 use zskip_serve::{LoadConfig, LoadGenerator, ServeConfig, Server, StreamId};
 
 const VOCAB: usize = 64;
 const DH: usize = 256;
-
-/// Metrics beyond criterion's medians — the client-observed latency
-/// percentiles of the unmeasured telemetry run — collected here so
-/// `main` can fold them into the evidence file next to the throughput
-/// numbers.
-static EXTRA_METRICS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
 
 fn bench_streams_vs_shards(c: &mut Criterion) {
     let model = FrozenCharLm::random(VOCAB, DH, 42);
@@ -63,18 +57,6 @@ fn bench_streams_vs_shards(c: &mut Criterion) {
             "shards={shards} client token latency: {}",
             report.token_latency
         );
-        let mut extra = EXTRA_METRICS.lock().unwrap();
-        for (pct, nanos) in [
-            ("p50", report.token_latency.p50()),
-            ("p90", report.token_latency.p90()),
-            ("p99", report.token_latency.p99()),
-        ] {
-            extra.push((
-                format!("serve_1024_streams_dh{DH}/client_latency_{pct}/shards_{shards}"),
-                nanos as f64,
-            ));
-        }
-        drop(extra);
         let stages = server.stats().stages();
         if !stages.is_zero() {
             println!("shards={shards} stage breakdown:\n{stages}");
@@ -186,10 +168,6 @@ fn session_rss_kib_per_stream() {
     }
     let per_stream = (rss_kib() - before) / OPENS as f64;
     println!("serve_session/rss_kib_per_stream: {per_stream:.2} KiB");
-    EXTRA_METRICS
-        .lock()
-        .unwrap()
-        .push(("serve_session/rss_kib_per_stream".to_string(), per_stream));
     server.shutdown();
 }
 
@@ -200,22 +178,8 @@ criterion_group!(
     bench_session
 );
 
-/// Runs the groups, then writes `BENCH_serve.json`: criterion medians
-/// plus the client-observed latency percentiles gathered above. The
-/// evidence file is what `docs/BENCH_RESULTS.md` entries cite,
-/// schema-checked by `bench_compare --schema-only`.
+/// The RSS probe runs before the groups grow the heap.
 fn main() {
     session_rss_kib_per_stream();
     benches();
-    let mut evidence = zskip_bench::Evidence::new("serve");
-    for m in criterion::take_measurements() {
-        evidence = evidence.metric(&m.id, m.median_nanos);
-    }
-    for (id, nanos) in EXTRA_METRICS.lock().unwrap().drain(..) {
-        evidence = evidence.metric(&id, nanos);
-    }
-    match evidence.write() {
-        Ok(path) => eprintln!("bench evidence: {}", path.display()),
-        Err(e) => eprintln!("bench evidence write failed: {e}"),
-    }
 }

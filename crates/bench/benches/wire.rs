@@ -6,14 +6,10 @@
 //!   `TcpServer` + `RemoteClient`: a single-token ping-pong lane
 //!   (latency-bound) and a 32-token pipelined lane
 //!   (throughput-bound). The server-side connection-lane latency
-//!   percentiles ride along as extra metrics.
-//!
-//! Evidence lands in `BENCH_wire.json` through the same pipeline as
-//! every other lane (`bench_compare --schema-only` checks the schema).
+//!   percentiles print after it as `wire_socket/server_lane_p<N>: <ns>`.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::sync::Mutex;
 use zskip_runtime::FrozenCharLm;
 use zskip_serve::{ServeConfig, Server};
 use zskip_wire::frame::{decode_frame, encode_frame, encode_logits, Frame};
@@ -21,8 +17,6 @@ use zskip_wire::{RemoteClient, TcpServer};
 
 const VOCAB: usize = 64;
 const DH: usize = 128;
-
-static EXTRA_METRICS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
 
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
@@ -113,34 +107,16 @@ fn bench_socket(c: &mut Criterion) {
     // Server-side view of the same traffic: the connection lane of the
     // latency histograms (request-received → result-written).
     let lane = tcp.wire_latency();
-    let mut extra = EXTRA_METRICS.lock().unwrap();
     for (pct, nanos) in [
         ("p50", lane.p50()),
         ("p90", lane.p90()),
         ("p99", lane.p99()),
     ] {
-        extra.push((format!("wire_socket/server_lane_{pct}"), nanos as f64));
+        println!("wire_socket/server_lane_{pct}: {nanos} ns");
     }
-    drop(extra);
     drop(remote);
     tcp.shutdown();
 }
 
 criterion_group!(benches, bench_codec, bench_socket);
-
-/// Runs the groups, then writes `BENCH_wire.json`: criterion medians
-/// plus the server-side connection-lane percentiles.
-fn main() {
-    benches();
-    let mut evidence = zskip_bench::Evidence::new("wire");
-    for m in criterion::take_measurements() {
-        evidence = evidence.metric(&m.id, m.median_nanos);
-    }
-    for (id, nanos) in EXTRA_METRICS.lock().unwrap().drain(..) {
-        evidence = evidence.metric(&id, nanos);
-    }
-    match evidence.write() {
-        Ok(path) => eprintln!("bench evidence: {}", path.display()),
-        Err(e) => eprintln!("bench evidence write failed: {e}"),
-    }
-}
+criterion_main!(benches);

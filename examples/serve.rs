@@ -2,7 +2,7 @@
 //! freeze it, and serve it through the sharded `zskip::serve` front-end —
 //! greedy streams next to the same weights served dense, a churn sweep
 //! over shard counts, then the observability tour (stats table and JSON,
-//! shard events, a Chrome trace for Perfetto, a bench-evidence file).
+//! shard events, a Chrome trace for Perfetto).
 //!
 //! ```sh
 //! cargo run --release --example serve -- [char|word|quantized]   # default: char
@@ -216,7 +216,7 @@ fn churn_sweep<M: FrozenModel>(model: &M, threshold: f32) {
 
 /// Churny 2-shard load with every stream traced, then everything an
 /// operator can read back: the stats table and JSON, the event ring, a
-/// strictly validated Chrome trace and a `BENCH_serve_telemetry.json`.
+/// strictly validated Chrome trace.
 fn telemetry_tour<M: FrozenModel>(model: M, threshold: f32) {
     let server = Server::start(
         model,
@@ -272,15 +272,5 @@ fn telemetry_tour<M: FrozenModel>(model: M, threshold: f32) {
         validation.async_begins,
     );
 
-    let mean_token_ns = report.elapsed.as_secs_f64() * 1e9 / report.tokens.max(1) as f64;
-    let latency = &report.token_latency;
-    let evidence = zskip_bench::Evidence::new("serve_telemetry")
-        .metric("serve_telemetry/client_latency_p50", latency.p50() as f64)
-        .metric("serve_telemetry/client_latency_p90", latency.p90() as f64)
-        .metric("serve_telemetry/client_latency_p99", latency.p99() as f64)
-        .metric("serve_telemetry/client_latency_p999", latency.p999() as f64)
-        .metric("serve_telemetry/mean_token_ns", mean_token_ns);
-    let path = evidence.write().expect("write bench evidence");
-    println!("bench evidence: {}", path.display());
     server.shutdown();
 }

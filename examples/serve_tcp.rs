@@ -3,9 +3,7 @@
 //! [`RemoteClient`], under connection churn — a third of the clients
 //! hang up and reconnect between rounds. Client-observed token latency
 //! percentiles print at the end, next to the server's own wire-lane
-//! view of the same traffic, and drop into a `BENCH_serve_tcp.json`
-//! evidence file (same schema as every other lane, checked by
-//! `bench_compare --schema-only`).
+//! view of the same traffic.
 //!
 //! ```sh
 //! cargo run --release --example serve_tcp
@@ -125,19 +123,5 @@ fn main() {
         println!("  {event}");
     }
 
-    // Machine-readable evidence through the shared bench pipeline.
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    let evidence = zskip_bench::Evidence::new("serve_tcp")
-        .metric("serve_tcp/client_latency_p50", client_view.p50() as f64)
-        .metric("serve_tcp/client_latency_p90", client_view.p90() as f64)
-        .metric("serve_tcp/client_latency_p99", client_view.p99() as f64)
-        .metric("serve_tcp/client_latency_p999", client_view.p999() as f64)
-        .metric("serve_tcp/server_lane_p99", server_view.p99() as f64)
-        .metric(
-            "serve_tcp/mean_token_ns",
-            secs * 1e9 / (tokens.max(1) as f64),
-        );
-    let path = evidence.write().expect("write bench evidence");
-    println!("\nbench evidence: {}", path.display());
     tcp.shutdown();
 }

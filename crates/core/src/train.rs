@@ -10,12 +10,18 @@
 //!
 //! Every harness trains with a [`StatePruner`] active in the forward pass
 //! (threshold 0 ⇒ dense baseline) and reports the test metric together
-//! with the measured state sparsity, i.e. one point of Figs. 2–4.
+//! with the measured state sparsity, i.e. one point of Figs. 2–4. There
+//! is one training and one evaluation loop per model shape: the language
+//! models ([`Lm`], any encoder and recurrent layer) share [`eval_lm`] and
+//! one stateful-BPTT loop, and the digit classifier has its own.
 
-use crate::prune::StatePruner;
+use crate::prune::{MaskedGradientPruner, StatePruner};
 use crate::sparsity;
 use zskip_data::{BpttBatcher, CharCorpus, DigitSet, WordCorpus};
-use zskip_nn::models::{CarryState, CharLm, SeqClassifier, WordLm};
+use zskip_nn::metrics::MetricAccumulator;
+use zskip_nn::models::{
+    CarryState, CharLm, GruCharLm, InputEncoder, Lm, OneHot, Recurrent, Rows, SeqClassifier, WordLm,
+};
 use zskip_nn::{Adam, GradClip, Optimizer, Parameterized, Sgd, StateTransform};
 use zskip_tensor::{Matrix, SeedableStream};
 
@@ -28,6 +34,130 @@ pub struct TaskRunResult {
     pub metric: f64,
     /// Mean element-wise state sparsity measured on the test trace.
     pub sparsity: f64,
+}
+
+// ---------------------------------------------------------------------------
+// Language modeling: the loop the char and word harnesses share
+// ---------------------------------------------------------------------------
+
+/// A trained language model plus the corpus it was trained on.
+#[derive(Debug)]
+pub struct LmOutcome<M, C> {
+    /// Summary point for the sweep curve.
+    pub result: TaskRunResult,
+    /// The trained model.
+    pub model: M,
+    /// The corpus it was trained on.
+    pub corpus: C,
+}
+
+/// How an LM harness trains beyond the model and its windows.
+struct LmRecipe<O> {
+    epochs: usize,
+    threshold: f32,
+    mode: GradientMode,
+    schedule: ThresholdSchedule,
+    opt: O,
+    /// Gradient-norm clip before every step.
+    clip: Option<GradClip>,
+    /// Learning-rate divisor applied after every epoch but the first.
+    lr_decay: Option<f32>,
+    /// Draws the encoder's dropout masks.
+    drop_rng: Option<SeedableStream>,
+}
+
+/// The LM harness: stateful truncated BPTT over `train`'s windows, one
+/// optimizer step per window (the state restarts from zero and the pruner
+/// follows the schedule at every epoch), then [`eval_lm`] on `test` at
+/// the full threshold, reported through `metric`.
+fn run_lm<E, R, O, C>(
+    mut model: Lm<E, R>,
+    corpus: C,
+    mut train: BpttBatcher,
+    test: BpttBatcher,
+    mut recipe: LmRecipe<O>,
+    metric: fn(&MetricAccumulator) -> f32,
+) -> LmOutcome<Lm<E, R>, C>
+where
+    E: InputEncoder<Step = [usize]>,
+    R: Recurrent,
+    O: Optimizer,
+{
+    for epoch in 0..recipe.epochs {
+        let t = recipe.schedule.at_epoch(recipe.threshold, epoch);
+        let transform: Box<dyn StateTransform> = match recipe.mode {
+            GradientMode::StraightThrough => Box::new(StatePruner::new(t)),
+            GradientMode::Masked => Box::new(MaskedGradientPruner::new(t)),
+        };
+        train.reset();
+        let mut state = CarryState::zeros(train.lanes(), model.hidden_dim());
+        while let Some(w) = train.next_window() {
+            model.zero_grads();
+            let rng = recipe.drop_rng.as_mut();
+            model.train_window(&w.inputs, &w.targets, &mut state, transform.as_ref(), rng);
+            if let Some(clip) = recipe.clip {
+                clip.apply(&mut model);
+            }
+            recipe.opt.step(&mut model);
+        }
+        if let Some(factor) = recipe.lr_decay.filter(|_| epoch >= 1) {
+            recipe.opt.decay(factor);
+        }
+    }
+    let threshold = recipe.threshold;
+    let (acc, sparsity) = eval_lm(&model, test, &StatePruner::new(threshold));
+    LmOutcome {
+        result: TaskRunResult {
+            threshold,
+            metric: metric(&acc) as f64,
+            sparsity,
+        },
+        model,
+        corpus,
+    }
+}
+
+/// Evaluates a trained language model over every window of `test`
+/// (stateful, from a zero state): the accumulated metric, and the mean
+/// state sparsity of the first two windows' traces. Each traced window
+/// is replayed from the state its evaluation ended in.
+pub fn eval_lm<E, R>(
+    model: &Lm<E, R>,
+    mut test: BpttBatcher,
+    transform: &dyn StateTransform,
+) -> (MetricAccumulator, f64)
+where
+    E: InputEncoder<Step = [usize]>,
+    R: Recurrent,
+{
+    let mut state = CarryState::zeros(test.lanes(), model.hidden_dim());
+    let mut acc = MetricAccumulator::new();
+    let mut trace: Vec<Matrix> = Vec::new();
+    for window_idx in 0.. {
+        let Some(w) = test.next_window() else { break };
+        let stats = model.eval_batch(&w.inputs, &w.targets, &mut state, transform);
+        acc.add(stats.mean_nats, stats.tokens, stats.correct);
+        if window_idx < 2 {
+            let mut probe = state.clone();
+            trace.extend(model.state_trace(&w.inputs, &mut probe, transform));
+        }
+    }
+    (acc, sparsity::mean_sparsity(&trace))
+}
+
+/// The state trace of `windows`' first window, from a zero state.
+fn first_window_trace<E, R>(
+    model: &Lm<E, R>,
+    mut windows: BpttBatcher,
+    transform: &dyn StateTransform,
+) -> Vec<Matrix>
+where
+    E: InputEncoder<Step = [usize]>,
+    R: Recurrent,
+{
+    let mut state = CarryState::zeros(windows.lanes(), model.hidden_dim());
+    let w = windows.next_window().expect("test split too small");
+    model.state_trace(&w.inputs, &mut state, transform)
 }
 
 // ---------------------------------------------------------------------------
@@ -83,15 +213,10 @@ impl CharTaskConfig {
 }
 
 /// A trained char model plus everything needed for downstream analysis.
-#[derive(Debug)]
-pub struct CharOutcome {
-    /// Summary point for the sweep curve.
-    pub result: TaskRunResult,
-    /// The trained model.
-    pub model: CharLm,
-    /// The corpus it was trained on.
-    pub corpus: CharCorpus,
-}
+pub type CharOutcome = LmOutcome<CharLm, CharCorpus>;
+
+/// A trained GRU char model plus its corpus (the cell-type ablation).
+pub type GruCharOutcome = LmOutcome<GruCharLm, CharCorpus>;
 
 /// Which gradient the pruning non-linearity propagates during training.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,48 +279,7 @@ pub fn train_char_with(
     mode: GradientMode,
     schedule: ThresholdSchedule,
 ) -> CharOutcome {
-    let corpus = CharCorpus::generate(config.corpus_chars, config.seed);
-    let mut rng = SeedableStream::new(config.seed ^ 0xC0FFEE);
-    let mut model = CharLm::new(corpus.vocab_size(), config.hidden, &mut rng);
-    let mut opt = Adam::new(config.lr);
-
-    for epoch in 0..config.epochs {
-        let t = schedule.at_epoch(threshold, epoch);
-        let transform: Box<dyn StateTransform> = match mode {
-            GradientMode::StraightThrough => Box::new(StatePruner::new(t)),
-            GradientMode::Masked => Box::new(crate::prune::MaskedGradientPruner::new(t)),
-        };
-        let mut batcher = BpttBatcher::from_bytes(corpus.train(), config.batch, config.bptt);
-        let mut state = CarryState::zeros(config.batch, config.hidden);
-        while let Some(w) = batcher.next_window() {
-            model.zero_grads();
-            model.train_batch(&w.inputs, &w.targets, &mut state, transform.as_ref());
-            opt.step(&mut model);
-        }
-    }
-
-    let pruner = StatePruner::new(threshold);
-    let (bpc, sparsity) = eval_char(&model, &corpus, config, &pruner);
-    CharOutcome {
-        result: TaskRunResult {
-            threshold,
-            metric: bpc,
-            sparsity,
-        },
-        model,
-        corpus,
-    }
-}
-
-/// A trained GRU char model plus its corpus (the cell-type ablation).
-#[derive(Debug)]
-pub struct GruCharOutcome {
-    /// Summary point.
-    pub result: TaskRunResult,
-    /// The trained model.
-    pub model: zskip_nn::models::GruCharLm,
-    /// The corpus it was trained on.
-    pub corpus: CharCorpus,
+    char_task(config, threshold, mode, schedule)
 }
 
 /// Trains a GRU char-level LM with the same recipe as [`train_char`] —
@@ -203,76 +287,33 @@ pub struct GruCharOutcome {
 /// GRU's only memory is the pruned `h` (no protected cell state), so the
 /// same threshold is expected to bite harder.
 pub fn train_char_gru(config: &CharTaskConfig, threshold: f32) -> GruCharOutcome {
-    let corpus = CharCorpus::generate(config.corpus_chars, config.seed);
-    let mut rng = SeedableStream::new(config.seed ^ 0xC0FFEE);
-    let mut model = zskip_nn::models::GruCharLm::new(corpus.vocab_size(), config.hidden, &mut rng);
-    let pruner = StatePruner::new(threshold);
-    let mut opt = Adam::new(config.lr);
-
-    for _epoch in 0..config.epochs {
-        let mut batcher = BpttBatcher::from_bytes(corpus.train(), config.batch, config.bptt);
-        let mut state = CarryState::zeros(config.batch, config.hidden);
-        while let Some(w) = batcher.next_window() {
-            model.zero_grads();
-            model.train_batch(&w.inputs, &w.targets, &mut state, &pruner);
-            opt.step(&mut model);
-        }
-    }
-
-    // Evaluate on the test split.
-    let mut batcher = BpttBatcher::from_bytes(corpus.test(), config.batch, config.bptt);
-    let mut state = CarryState::zeros(config.batch, config.hidden);
-    let mut acc = zskip_nn::metrics::MetricAccumulator::new();
-    let mut trace: Vec<Matrix> = Vec::new();
-    let mut window_idx = 0usize;
-    while let Some(w) = batcher.next_window() {
-        let stats = model.eval_batch(&w.inputs, &w.targets, &mut state, &pruner);
-        acc.add(stats.mean_nats, stats.tokens, stats.correct);
-        if window_idx < 2 {
-            let mut probe = CarryState {
-                h: state.h.clone(),
-                c: state.c.clone(),
-            };
-            trace.extend(model.state_trace(&w.inputs, &mut probe, &pruner));
-        }
-        window_idx += 1;
-    }
-    GruCharOutcome {
-        result: TaskRunResult {
-            threshold,
-            metric: acc.bpc() as f64,
-            sparsity: sparsity::mean_sparsity(&trace),
-        },
-        model,
-        corpus,
-    }
+    let schedule = ThresholdSchedule::Constant;
+    char_task(config, threshold, GradientMode::StraightThrough, schedule)
 }
 
-/// Evaluates test BPC and mean state sparsity for a trained char model.
-pub fn eval_char(
-    model: &CharLm,
-    corpus: &CharCorpus,
+/// The char-LM harness over any recurrent layer.
+fn char_task<R: Recurrent>(
     config: &CharTaskConfig,
-    transform: &dyn StateTransform,
-) -> (f64, f64) {
-    let mut batcher = BpttBatcher::from_bytes(corpus.test(), config.batch, config.bptt);
-    let mut state = CarryState::zeros(config.batch, config.hidden);
-    let mut acc = zskip_nn::metrics::MetricAccumulator::new();
-    let mut trace: Vec<Matrix> = Vec::new();
-    let mut window_idx = 0usize;
-    while let Some(w) = batcher.next_window() {
-        let stats = model.eval_batch(&w.inputs, &w.targets, &mut state, transform);
-        acc.add(stats.mean_nats, stats.tokens, stats.correct);
-        if window_idx < 2 {
-            let mut probe = CarryState {
-                h: state.h.clone(),
-                c: state.c.clone(),
-            };
-            trace.extend(model.state_trace(&w.inputs, &mut probe, transform));
-        }
-        window_idx += 1;
-    }
-    (acc.bpc() as f64, sparsity::mean_sparsity(&trace))
+    threshold: f32,
+    mode: GradientMode,
+    schedule: ThresholdSchedule,
+) -> LmOutcome<Lm<OneHot, R>, CharCorpus> {
+    let corpus = CharCorpus::generate(config.corpus_chars, config.seed);
+    let mut rng = SeedableStream::new(config.seed ^ 0xC0FFEE);
+    let model = Lm::<OneHot, R>::new(corpus.vocab_size(), config.hidden, &mut rng);
+    let windows = |split| BpttBatcher::from_bytes(split, config.batch, config.bptt);
+    let recipe = LmRecipe {
+        epochs: config.epochs,
+        threshold,
+        mode,
+        schedule,
+        opt: Adam::new(config.lr),
+        clip: None,
+        lr_decay: None,
+        drop_rng: None,
+    };
+    let (train, test) = (windows(corpus.train()), windows(corpus.test()));
+    run_lm(model, corpus, train, test, recipe, MetricAccumulator::bpc)
 }
 
 /// Collects a state trace from the test split with `lanes` parallel
@@ -285,10 +326,8 @@ pub fn char_state_trace(
     steps: usize,
     transform: &dyn StateTransform,
 ) -> Vec<Matrix> {
-    let mut batcher = BpttBatcher::from_bytes(corpus.test(), lanes, steps);
-    let mut state = CarryState::zeros(lanes, model.hidden_dim());
-    let w = batcher.next_window().expect("test split too small");
-    model.state_trace(&w.inputs, &mut state, transform)
+    let windows = BpttBatcher::from_bytes(corpus.test(), lanes, steps);
+    first_window_trace(model, windows, transform)
 }
 
 // ---------------------------------------------------------------------------
@@ -364,84 +403,33 @@ impl WordTaskConfig {
 }
 
 /// A trained word model plus its corpus.
-#[derive(Debug)]
-pub struct WordOutcome {
-    /// Summary point for the sweep curve.
-    pub result: TaskRunResult,
-    /// The trained model.
-    pub model: WordLm,
-    /// The corpus it was trained on.
-    pub corpus: WordCorpus,
-}
+pub type WordOutcome = LmOutcome<WordLm, WordCorpus>;
 
 /// Trains a word-level LM with the given pruning threshold and reports
 /// test PPW plus measured sparsity.
 pub fn train_word(config: &WordTaskConfig, threshold: f32) -> WordOutcome {
     let corpus = WordCorpus::generate(config.vocab, config.corpus_tokens, config.seed);
     let mut rng = SeedableStream::new(config.seed ^ 0xBEEF);
-    let mut model = WordLm::new(
+    let model = WordLm::new(
         config.vocab,
         config.embedding,
         config.hidden,
         config.dropout,
         &mut rng,
     );
-    let pruner = StatePruner::new(threshold);
-    let mut opt = Sgd::new(config.lr);
-    let clip = GradClip::new(config.clip);
-    let mut drop_rng = SeedableStream::new(config.seed ^ 0xD50);
-
-    for epoch in 0..config.epochs {
-        let mut batcher = BpttBatcher::new(corpus.train(), config.batch, config.bptt);
-        let mut state = CarryState::zeros(config.batch, config.hidden);
-        while let Some(w) = batcher.next_window() {
-            model.zero_grads();
-            model.train_batch(&w.inputs, &w.targets, &mut state, &pruner, &mut drop_rng);
-            clip.apply(&mut model);
-            opt.step(&mut model);
-        }
-        if epoch >= 1 {
-            opt.decay(config.lr_decay);
-        }
-    }
-
-    let (ppw, sparsity) = eval_word(&model, &corpus, config, &pruner);
-    WordOutcome {
-        result: TaskRunResult {
-            threshold,
-            metric: ppw,
-            sparsity,
-        },
-        model,
-        corpus,
-    }
-}
-
-/// Evaluates test PPW and mean state sparsity for a trained word model.
-pub fn eval_word(
-    model: &WordLm,
-    corpus: &WordCorpus,
-    config: &WordTaskConfig,
-    transform: &dyn StateTransform,
-) -> (f64, f64) {
-    let mut batcher = BpttBatcher::new(corpus.test(), config.batch, config.bptt);
-    let mut state = CarryState::zeros(config.batch, config.hidden);
-    let mut acc = zskip_nn::metrics::MetricAccumulator::new();
-    let mut trace: Vec<Matrix> = Vec::new();
-    let mut window_idx = 0usize;
-    while let Some(w) = batcher.next_window() {
-        let stats = model.eval_batch(&w.inputs, &w.targets, &mut state, transform);
-        acc.add(stats.mean_nats, stats.tokens, stats.correct);
-        if window_idx < 2 {
-            let mut probe = CarryState {
-                h: state.h.clone(),
-                c: state.c.clone(),
-            };
-            trace.extend(model.state_trace(&w.inputs, &mut probe, transform));
-        }
-        window_idx += 1;
-    }
-    (acc.ppw() as f64, sparsity::mean_sparsity(&trace))
+    let windows = |split| BpttBatcher::new(split, config.batch, config.bptt);
+    let recipe = LmRecipe {
+        epochs: config.epochs,
+        threshold,
+        mode: GradientMode::StraightThrough,
+        schedule: ThresholdSchedule::Constant,
+        opt: Sgd::new(config.lr),
+        clip: Some(GradClip::new(config.clip)),
+        lr_decay: Some(config.lr_decay),
+        drop_rng: Some(SeedableStream::new(config.seed ^ 0xD50)),
+    };
+    let (train, test) = (windows(corpus.train()), windows(corpus.test()));
+    run_lm(model, corpus, train, test, recipe, MetricAccumulator::ppw)
 }
 
 /// Collects a `lanes × dh` state trace for the word task.
@@ -452,10 +440,11 @@ pub fn word_state_trace(
     steps: usize,
     transform: &dyn StateTransform,
 ) -> Vec<Matrix> {
-    let mut batcher = BpttBatcher::new(corpus.test(), lanes, steps);
-    let mut state = CarryState::zeros(lanes, model.hidden_dim());
-    let w = batcher.next_window().expect("test split too small");
-    model.state_trace(&w.inputs, &mut state, transform)
+    first_window_trace(
+        model,
+        BpttBatcher::new(corpus.test(), lanes, steps),
+        transform,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -547,31 +536,20 @@ fn digit_batch_xs(
     range: std::ops::Range<usize>,
     config: &DigitsTaskConfig,
 ) -> (Vec<Matrix>, Vec<usize>) {
-    match config.scan {
-        ScanOrder::Pixel => {
-            let (pixels, labels) = set.batch_sequences(range, config.downsample);
-            let xs = pixels
-                .into_iter()
-                .map(|step| {
-                    let b = step.len();
-                    Matrix::from_vec(b, 1, step)
-                })
-                .collect();
-            (xs, labels)
-        }
-        ScanOrder::Row => {
-            let width = config.input_dim();
-            let (rows, labels) = set.batch_rows(range, config.downsample);
-            let xs = rows
-                .into_iter()
-                .map(|step| {
-                    let b = step.len() / width;
-                    Matrix::from_vec(b, width, step)
-                })
-                .collect();
-            (xs, labels)
-        }
-    }
+    let (steps, labels) = match config.scan {
+        ScanOrder::Pixel => set.batch_sequences(range, config.downsample),
+        ScanOrder::Row => set.batch_rows(range, config.downsample),
+    };
+    let rows = Rows {
+        width: config.input_dim(),
+    };
+    (steps.iter().map(|step| rows.encode(step)).collect(), labels)
+}
+
+/// The complete `batch`-image ranges of `set`, in order (a short tail is
+/// dropped).
+fn batches(set: &DigitSet, batch: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..set.len() / batch).map(move |i| i * batch..(i + 1) * batch)
 }
 
 /// A trained digit classifier plus its datasets.
@@ -596,13 +574,11 @@ pub fn train_digits(config: &DigitsTaskConfig, threshold: f32) -> DigitsOutcome 
     let mut opt = Adam::new(config.lr);
 
     for _epoch in 0..config.epochs {
-        let mut start = 0;
-        while start + config.batch <= train_set.len() {
-            let (xs, labels) = digit_batch_xs(&train_set, start..start + config.batch, config);
+        for range in batches(&train_set, config.batch) {
+            let (xs, labels) = digit_batch_xs(&train_set, range, config);
             model.zero_grads();
             model.train_batch_xs(&xs, &labels, &pruner);
             opt.step(&mut model);
-            start += config.batch;
         }
     }
 
@@ -626,19 +602,15 @@ pub fn eval_digits(
     config: &DigitsTaskConfig,
     transform: &dyn StateTransform,
 ) -> (f64, f64) {
-    let mut acc = zskip_nn::metrics::MetricAccumulator::new();
+    let mut acc = MetricAccumulator::new();
     let mut trace: Vec<Matrix> = Vec::new();
-    let mut start = 0;
-    let mut batch_idx = 0usize;
-    while start + config.batch <= test_set.len() {
-        let (xs, labels) = digit_batch_xs(test_set, start..start + config.batch, config);
+    for (batch_idx, range) in batches(test_set, config.batch).enumerate() {
+        let (xs, labels) = digit_batch_xs(test_set, range, config);
         let stats = model.eval_batch_xs(&xs, &labels, transform);
         acc.add(stats.mean_nats, stats.tokens, stats.correct);
         if batch_idx < 1 {
             trace.extend(model.state_trace_xs(&xs, transform));
         }
-        start += config.batch;
-        batch_idx += 1;
     }
     (acc.mer_percent() as f64, sparsity::mean_sparsity(&trace))
 }
@@ -659,6 +631,7 @@ pub fn digits_state_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn tiny_char_config() -> CharTaskConfig {
         CharTaskConfig {
@@ -672,20 +645,26 @@ mod tests {
         }
     }
 
+    /// The threshold-0 tiny char run, trained once for every test that
+    /// reads it.
+    fn dense_char() -> TaskRunResult {
+        static DENSE: OnceLock<TaskRunResult> = OnceLock::new();
+        *DENSE.get_or_init(|| train_char(&tiny_char_config(), 0.0).result)
+    }
+
     #[test]
     fn char_harness_beats_uniform() {
-        let out = train_char(&tiny_char_config(), 0.0);
+        let dense = dense_char();
         // Uniform over 50 symbols = log2(50) ≈ 5.64 BPC; even one epoch of
         // a tiny model must do noticeably better on Markov text.
-        assert!(out.result.metric < 4.8, "BPC {}", out.result.metric);
-        assert_eq!(out.result.threshold, 0.0);
+        assert!(dense.metric < 4.8, "BPC {}", dense.metric);
+        assert_eq!(dense.threshold, 0.0);
     }
 
     #[test]
     fn char_pruning_produces_sparsity() {
-        let dense = train_char(&tiny_char_config(), 0.0);
         let pruned = train_char(&tiny_char_config(), 0.2);
-        assert!(pruned.result.sparsity > dense.result.sparsity + 0.05);
+        assert!(pruned.result.sparsity > dense_char().sparsity + 0.05);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! model wants to avoid a dense one-hot GEMM.
 
 use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
 use zskip_tensor::{Matrix, SeedableStream};
 
 /// A `vocab × dim` embedding table with sparse gradient accumulation.
@@ -22,12 +21,11 @@ use zskip_tensor::{Matrix, SeedableStream};
 /// let out = emb.forward(&[3, 7]);
 /// assert_eq!((out.rows(), out.cols()), (2, 4));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Embedding {
     vocab: usize,
     dim: usize,
     table: Matrix,
-    #[serde(skip)]
     dtable: Option<Matrix>,
 }
 

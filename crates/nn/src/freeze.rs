@@ -12,8 +12,8 @@
 //! # Why freezing takes `&mut`
 //!
 //! Exporting is read-only in spirit, but [`Parameterized::visit_params`]
-//! hands out `&mut [f32]` slices — the same traversal drives optimizers
-//! and checkpoint loading, which *do* write — and lazily allocates
+//! hands out `&mut [f32]` slices — the same traversal drives the
+//! optimizers, which *do* write — and lazily allocates
 //! gradient buffers on first visit. A read-only twin trait would force
 //! every layer to duplicate its traversal, so freezing borrows the model
 //! mutably and promises not to touch the parameters instead. That

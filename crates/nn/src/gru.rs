@@ -15,34 +15,15 @@
 //! LSTM (whose dense cell state `c` survives pruning untouched) — the
 //! ablation benches quantify this.
 
-use crate::init;
+use crate::gates::{Gates, Layer, SequenceCache};
 use crate::lstm::StateTransform;
+use crate::models::{CarryState, Recurrent, SequenceGrads};
 use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
 use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 
-/// A gated recurrent unit with gradient buffers.
-///
-/// Weight layout: `wx` is `dx × 3dh` and `wh` is `dh × 3dh`, gate order
-/// `[z | r | n]` blocked by `dh`. Like the LSTM cell, the gate
-/// non-linearities are a serialized [`GateActivations`] contract —
-/// smooth by default, or the shared lookup tables the serving pointwise
-/// stage vectorizes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct GruCell {
-    input: usize,
-    hidden: usize,
-    wx: Matrix,
-    wh: Matrix,
-    b: Vec<f32>,
-    acts: GateActivations,
-    #[serde(skip)]
-    dwx: Option<Matrix>,
-    #[serde(skip)]
-    dwh: Option<Matrix>,
-    #[serde(skip)]
-    db: Option<Vec<f32>>,
-}
+/// A gated recurrent unit with gradient buffers: gate order `[z | r | n]`
+/// blocked by `dh` (see [`Gates`] for what every gated cell shares).
+pub type GruCell = Gates<3>;
 
 /// Forward cache of one GRU step.
 #[derive(Clone, Debug)]
@@ -62,11 +43,6 @@ impl GruStep {
     pub fn h(&self) -> &Matrix {
         &self.h
     }
-
-    /// Post-activation gates `[z | r | n]`.
-    pub fn gates(&self) -> &Matrix {
-        &self.gates
-    }
 }
 
 impl GruCell {
@@ -82,49 +58,7 @@ impl GruCell {
         acts: GateActivations,
         rng: &mut SeedableStream,
     ) -> Self {
-        assert!(input > 0 && hidden > 0, "gru dims must be positive");
-        Self {
-            input,
-            hidden,
-            wx: init::xavier_uniform(input, 3 * hidden, rng),
-            wh: init::xavier_uniform(hidden, 3 * hidden, rng),
-            b: vec![0.0; 3 * hidden],
-            acts,
-            dwx: None,
-            dwh: None,
-            db: None,
-        }
-    }
-
-    /// The gate-activation contract this cell trains (and must be
-    /// served) under.
-    pub fn activations(&self) -> &GateActivations {
-        &self.acts
-    }
-
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.input
-    }
-
-    /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input weights `Wx` (`dx × 3dh`).
-    pub fn wx(&self) -> &Matrix {
-        &self.wx
-    }
-
-    /// Recurrent weights `Wh` (`dh × 3dh`).
-    pub fn wh(&self) -> &Matrix {
-        &self.wh
-    }
-
-    /// Bias (`3dh`, gate order `[z, r, n]`).
-    pub fn bias(&self) -> &[f32] {
-        &self.b
+        Self::with_bias(input, hidden, vec![0.0; 3 * hidden], acts, rng)
     }
 
     /// One forward step on a batch (`x: B × dx`, `hp_prev: B × dh`).
@@ -182,15 +116,6 @@ impl GruCell {
         }
     }
 
-    fn grads(&mut self) -> (&mut Matrix, &mut Matrix, &mut Vec<f32>) {
-        let (i, h) = (self.input, self.hidden);
-        (
-            self.dwx.get_or_insert_with(|| Matrix::zeros(i, 3 * h)),
-            self.dwh.get_or_insert_with(|| Matrix::zeros(h, 3 * h)),
-            self.db.get_or_insert_with(|| vec![0.0; 3 * h]),
-        )
-    }
-
     /// One backward step: accumulates weight gradients and returns
     /// `(d_x, d_hp_prev)` given `d_h`, the gradient w.r.t. this step's raw
     /// output.
@@ -243,16 +168,7 @@ impl GruCell {
             }
         }
 
-        {
-            let (dwx, dwh, db) = self.grads();
-            dwx.add_tgemm(1.0, &step.x, &d_zx);
-            dwh.add_tgemm(1.0, &step.hp_prev, &d_zh);
-            for r in 0..b {
-                for (acc, v) in db.iter_mut().zip(d_zx.row(r)) {
-                    *acc += v;
-                }
-            }
-        }
+        self.accumulate(&step.x, &step.hp_prev, &d_zx, &d_zh);
 
         let mut d_hp = d_zh.matmul_nt(&self.wh);
         d_hp.add_assign(&d_hp_direct);
@@ -263,82 +179,29 @@ impl GruCell {
         };
         (d_x, d_hp)
     }
-
-    /// Unrolled forward with a state transform on the recurrent path.
-    pub fn forward_sequence(
-        &self,
-        xs: &[Matrix],
-        h0: &Matrix,
-        transform: &dyn StateTransform,
-    ) -> Vec<GruStep> {
-        assert!(!xs.is_empty(), "empty sequence");
-        let mut hp = transform.apply(h0);
-        let mut steps = Vec::with_capacity(xs.len());
-        for x in xs {
-            let step = self.forward(x, &hp);
-            hp = transform.apply(&step.h);
-            steps.push(step);
-        }
-        steps
-    }
 }
 
-/// A GRU unrolled over time with a [`StateTransform`] on the state path —
-/// the GRU counterpart of [`LstmLayer`](crate::LstmLayer).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct GruLayer {
-    cell: GruCell,
-}
+/// A GRU unrolled over time with a [`StateTransform`] on the state path
+/// (see [`Recurrent`]) — the GRU counterpart of
+/// [`LstmLayer`](crate::LstmLayer).
+pub type GruLayer = Layer<3>;
 
 /// Cached activations of an unrolled GRU window.
-#[derive(Clone, Debug)]
-pub struct GruSequenceCache {
-    steps: Vec<GruStep>,
-    hp: Vec<Matrix>,
-    h0: Matrix,
-}
+pub type GruSequenceCache = SequenceCache<GruStep>;
 
 impl GruSequenceCache {
-    /// Transformed hidden state at step `t`.
-    pub fn hp(&self, t: usize) -> &Matrix {
-        &self.hp[t]
-    }
-
     /// Raw hidden state at step `t`.
     pub fn h_raw(&self, t: usize) -> &Matrix {
         &self.steps[t].h
     }
-
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Returns `true` for an empty cache.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Final transformed hidden state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is empty.
-    pub fn last_hp(&self) -> &Matrix {
-        self.hp.last().expect("empty gru cache")
-    }
 }
 
-impl GruLayer {
-    /// Creates a layer around a fresh [`GruCell`].
-    pub fn new(input: usize, hidden: usize, rng: &mut SeedableStream) -> Self {
-        Self {
-            cell: GruCell::new(input, hidden, rng),
-        }
-    }
+/// The GRU's only state is `h`: it ignores and never writes `state.c`
+/// (the default [`Recurrent::carry`]).
+impl Recurrent for GruLayer {
+    type Step = GruStep;
 
-    /// [`Self::new`] under an explicit [`GateActivations`] contract.
-    pub fn with_activations(
+    fn with_activations(
         input: usize,
         hidden: usize,
         acts: GateActivations,
@@ -349,24 +212,18 @@ impl GruLayer {
         }
     }
 
-    /// The underlying cell.
-    pub fn cell(&self) -> &GruCell {
-        &self.cell
+    fn hidden_dim(&self) -> usize {
+        self.cell.hidden_dim()
     }
 
-    /// Runs the unrolled forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty.
-    pub fn forward_sequence(
+    fn forward_sequence(
         &self,
         xs: &[Matrix],
-        h0: &Matrix,
+        state: &CarryState,
         transform: &dyn StateTransform,
     ) -> GruSequenceCache {
         assert!(!xs.is_empty(), "empty sequence");
-        let mut hp_prev = transform.apply(h0);
+        let mut hp_prev = transform.apply(&state.h);
         let mut steps = Vec::with_capacity(xs.len());
         let mut hp_list = Vec::with_capacity(xs.len());
         for x in xs {
@@ -379,33 +236,22 @@ impl GruLayer {
         GruSequenceCache {
             steps,
             hp: hp_list,
-            h0: h0.clone(),
+            h0: state.h.clone(),
         }
     }
 
-    /// Truncated BPTT over a cached window; `d_hp[t]` is the output-path
-    /// gradient w.r.t. the transformed state at step `t`. Returns
-    /// `(d_xs, d_h0)`; `d_xs` is `None` unless requested.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d_hp.len() != cache.len()`.
-    pub fn backward_sequence(
+    fn backward_sequence(
         &mut self,
         cache: &GruSequenceCache,
         d_hp: &[Matrix],
         transform: &dyn StateTransform,
         need_dx: bool,
-    ) -> (Option<Vec<Matrix>>, Matrix) {
+    ) -> SequenceGrads {
         assert_eq!(d_hp.len(), cache.len(), "one output gradient per step");
         let t_len = cache.len();
         let b = cache.steps[0].h.rows();
         let dh = self.cell.hidden_dim();
-        let mut d_xs = if need_dx {
-            Some(Vec::with_capacity(t_len))
-        } else {
-            None
-        };
+        let mut d_xs = need_dx.then(|| Vec::with_capacity(t_len));
         let mut carry = Matrix::zeros(b, dh);
         for t in (0..t_len).rev() {
             let mut total = d_hp[t].clone();
@@ -421,25 +267,13 @@ impl GruLayer {
             list.reverse();
         }
         let d_h0 = transform.backward(&cache.h0, &carry);
-        (d_xs, d_h0)
-    }
-}
-
-impl Parameterized for GruLayer {
-    fn visit_params(&mut self, visitor: &mut dyn ParamVisitor) {
-        self.cell.visit_params(visitor);
+        SequenceGrads { d_xs, d_h0 }
     }
 }
 
 impl Parameterized for GruCell {
     fn visit_params(&mut self, visitor: &mut dyn ParamVisitor) {
-        let (i, h) = (self.input, self.hidden);
-        let dwx = self.dwx.get_or_insert_with(|| Matrix::zeros(i, 3 * h));
-        visitor.visit("gru.wx", self.wx.as_mut_slice(), dwx.as_mut_slice());
-        let dwh = self.dwh.get_or_insert_with(|| Matrix::zeros(h, 3 * h));
-        visitor.visit("gru.wh", self.wh.as_mut_slice(), dwh.as_mut_slice());
-        let db = self.db.get_or_insert_with(|| vec![0.0; 3 * h]);
-        visitor.visit("gru.b", &mut self.b, db);
+        self.visit(["gru.wx", "gru.wh", "gru.b"], visitor);
     }
 }
 
@@ -543,12 +377,11 @@ mod tests {
     #[test]
     fn pruned_sequence_produces_sparse_states() {
         use zskip_tensor::stats;
-        let cell = tiny(5);
+        let layer = GruLayer::new(3, 4, &mut SeedableStream::new(5));
         let mut rng = SeedableStream::new(6);
         let xs: Vec<Matrix> = (0..6)
             .map(|_| Matrix::from_fn(1, 3, |_, _| rng.uniform(-1.0, 1.0)))
             .collect();
-        let h0 = Matrix::zeros(1, 4);
 
         /// Minimal inline pruner (core depends on nn, not vice versa).
         struct Thresh(f32);
@@ -563,12 +396,12 @@ mod tests {
                 out
             }
         }
-        let steps = cell.forward_sequence(&xs, &h0, &Thresh(0.2));
-        let last = steps.last().expect("steps");
-        let zeros = stats::fraction_below(last.h().as_slice(), 1e-9);
+        let cache = layer.forward_sequence(&xs, &CarryState::zeros(1, 4), &Thresh(0.2));
+        let last = cache.h_raw(cache.len() - 1);
+        let zeros = stats::fraction_below(last.as_slice(), 1e-9);
         // The raw output h need not be sparse, but the transform sees to
         // the recurrent path; re-applying it must zero small values.
-        let pruned = Thresh(0.2).apply(last.h());
+        let pruned = Thresh(0.2).apply(last);
         assert!(pruned.sparsity() >= zeros);
     }
 
@@ -579,10 +412,10 @@ mod tests {
         let xs: Vec<Matrix> = (0..4)
             .map(|t| Matrix::from_fn(2, 2, |r, c| ((t * 2 + r + c) as f32 * 0.41).sin()))
             .collect();
-        let h0 = Matrix::zeros(2, 3);
+        let state = CarryState::zeros(2, 3);
 
         let loss_of = |layer: &GruLayer| -> f64 {
-            let cache = layer.forward_sequence(&xs, &h0, &IdentityTransform);
+            let cache = layer.forward_sequence(&xs, &state, &IdentityTransform);
             (0..cache.len())
                 .map(|t| {
                     cache
@@ -596,7 +429,7 @@ mod tests {
         };
 
         layer.zero_grads();
-        let cache = layer.forward_sequence(&xs, &h0, &IdentityTransform);
+        let cache = layer.forward_sequence(&xs, &state, &IdentityTransform);
         let ones: Vec<Matrix> = (0..4).map(|_| Matrix::from_fn(2, 3, |_, _| 1.0)).collect();
         layer.backward_sequence(&cache, &ones, &IdentityTransform, false);
 
@@ -638,17 +471,17 @@ mod tests {
 
     #[test]
     fn sequence_with_identity_matches_manual_unroll() {
-        let cell = tiny(7);
+        let layer = GruLayer::new(3, 4, &mut SeedableStream::new(7));
         let xs: Vec<Matrix> = (0..3)
             .map(|t| Matrix::from_fn(1, 3, |_, c| ((t + c) as f32 * 0.4).sin()))
             .collect();
-        let h0 = Matrix::zeros(1, 4);
-        let steps = cell.forward_sequence(&xs, &h0, &IdentityTransform);
-        let mut h = h0.clone();
+        let state = CarryState::zeros(1, 4);
+        let cache = layer.forward_sequence(&xs, &state, &IdentityTransform);
+        let mut h = state.h.clone();
         for (t, x) in xs.iter().enumerate() {
-            let s = cell.forward(x, &h);
+            let s = layer.cell().forward(x, &h);
             h = s.h().clone();
-            assert_eq!(steps[t].h(), &h);
+            assert_eq!(cache.h_raw(t), &h);
         }
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * [`LstmCell`] / [`LstmLayer`] — batched forward and full
 //!   backpropagation-through-time, with a [`StateTransform`] hook on the
-//!   recurrent path where the pruner plugs in,
+//!   recurrent path where the pruner plugs in (the GRU twins share the
+//!   [`Gates`] weight bundle and the [`Layer`] unroll),
 //! * [`Linear`], [`Embedding`], [`Dropout`] — the surrounding layers used
 //!   by the three tasks (char LM, word LM, sequential image
 //!   classification),
@@ -15,7 +16,11 @@
 //! * [`optim`] — Adam and SGD with gradient clipping and learning-rate
 //!   decay, driven through a parameter-visitor so optimizers stay decoupled
 //!   from model structure,
-//! * [`models`] — the paper's three task models,
+//! * [`models`] — the paper's three task models, assembled from an
+//!   input encoder, a [`Recurrent`](models::Recurrent) layer and a
+//!   softmax head; a new trained family is an encoder plus an alias
+//!   (e.g. `Lm<Embedded, GruLayer>` for a GRU word-LM), a new cell one
+//!   `Recurrent` impl,
 //! * [`Freezable`] — the stable parameter-export contract the serving
 //!   runtime's per-family freezers consume,
 //! * [`metrics`] — bits-per-character, perplexity-per-word,
@@ -41,10 +46,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod dropout;
 pub mod embedding;
 pub mod freeze;
+pub mod gates;
 pub mod gru;
 pub mod init;
 pub mod linear;
@@ -59,8 +64,9 @@ pub mod stack;
 pub use dropout::{Dropout, DropoutMask};
 pub use embedding::Embedding;
 pub use freeze::Freezable;
+pub use gates::{Gates, Layer, SequenceCache};
 pub use gru::{GruCell, GruLayer, GruSequenceCache, GruStep};
 pub use linear::Linear;
-pub use lstm::{IdentityTransform, LstmCell, LstmLayer, LstmStep, SequenceCache, StateTransform};
+pub use lstm::{IdentityTransform, LstmCell, LstmLayer, LstmStep, StateTransform};
 pub use optim::{Adam, GradClip, Optimizer, Sgd};
 pub use params::{ParamVisitor, Parameterized};

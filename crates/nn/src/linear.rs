@@ -2,7 +2,6 @@
 
 use crate::init;
 use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
 use zskip_tensor::{Matrix, SeedableStream};
 
 /// A dense affine layer `y = x·W + b` with `W : in × out`.
@@ -20,15 +19,13 @@ use zskip_tensor::{Matrix, SeedableStream};
 /// let y = lin.forward(&Matrix::zeros(3, 4));
 /// assert_eq!((y.rows(), y.cols()), (3, 2));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Linear {
     input: usize,
     output: usize,
     w: Matrix,
     b: Vec<f32>,
-    #[serde(skip)]
     dw: Option<Matrix>,
-    #[serde(skip)]
     db: Option<Vec<f32>>,
 }
 

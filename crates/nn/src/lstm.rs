@@ -21,9 +21,10 @@
 //! `Wx` is `dx × 4dh`, `Wh` is `dh × 4dh`, inputs are `B × dx` and states
 //! `B × dh` (row-major, one batch lane per row).
 
+use crate::gates::{Gates, Layer, SequenceCache};
 use crate::init;
+use crate::models::{CarryState, Recurrent, SequenceGrads};
 use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
 use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 
 /// Transformation applied to the hidden state before it is consumed by the
@@ -53,28 +54,9 @@ impl StateTransform for IdentityTransform {
     }
 }
 
-/// One LSTM cell: the weights of Eq. 1 plus gradient buffers.
-///
-/// The gate non-linearities are a [`GateActivations`] contract carried
-/// *by the cell* and serialized with it: smooth `exp`-based bodies (the
-/// default), or the shared lookup tables that let the frozen serving
-/// twin vectorize its pointwise stage while staying bit-identical to
-/// this forward pass.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct LstmCell {
-    input: usize,
-    hidden: usize,
-    wx: Matrix,
-    wh: Matrix,
-    b: Vec<f32>,
-    acts: GateActivations,
-    #[serde(skip)]
-    dwx: Option<Matrix>,
-    #[serde(skip)]
-    dwh: Option<Matrix>,
-    #[serde(skip)]
-    db: Option<Vec<f32>>,
-}
+/// One LSTM cell: the weights of Eq. 1 plus gradient buffers, gate order
+/// `[f, i, o, g]` (see [`Gates`] for what every gated cell shares).
+pub type LstmCell = Gates<4>;
 
 /// Everything the backward pass needs about one forward step.
 #[derive(Clone, Debug)]
@@ -122,59 +104,7 @@ impl LstmCell {
         acts: GateActivations,
         rng: &mut SeedableStream,
     ) -> Self {
-        assert!(input > 0 && hidden > 0, "lstm dims must be positive");
-        Self {
-            input,
-            hidden,
-            wx: init::xavier_uniform(input, 4 * hidden, rng),
-            wh: init::xavier_uniform(hidden, 4 * hidden, rng),
-            b: init::lstm_bias(hidden, 1.0),
-            acts,
-            dwx: None,
-            dwh: None,
-            db: None,
-        }
-    }
-
-    /// The gate-activation contract this cell trains (and must be
-    /// served) under. Freezers clone it — tables are exported, never
-    /// rebuilt, so serving cannot drift from training.
-    pub fn activations(&self) -> &GateActivations {
-        &self.acts
-    }
-
-    /// Input dimension `dx`.
-    pub fn input_dim(&self) -> usize {
-        self.input
-    }
-
-    /// Hidden dimension `dh`.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input weights `Wx` (`dx × 4dh`).
-    pub fn wx(&self) -> &Matrix {
-        &self.wx
-    }
-
-    /// Recurrent weights `Wh` (`dh × 4dh`).
-    pub fn wh(&self) -> &Matrix {
-        &self.wh
-    }
-
-    /// Bias (`4dh`, gate order `[f, i, o, g]`).
-    pub fn bias(&self) -> &[f32] {
-        &self.b
-    }
-
-    fn grads(&mut self) -> (&mut Matrix, &mut Matrix, &mut Vec<f32>) {
-        let (i, h) = (self.input, self.hidden);
-        (
-            self.dwx.get_or_insert_with(|| Matrix::zeros(i, 4 * h)),
-            self.dwh.get_or_insert_with(|| Matrix::zeros(h, 4 * h)),
-            self.db.get_or_insert_with(|| vec![0.0; 4 * h]),
-        )
+        Self::with_bias(input, hidden, init::lstm_bias(hidden, 1.0), acts, rng)
     }
 
     /// One forward step on a batch.
@@ -301,16 +231,7 @@ impl LstmCell {
             }
         }
 
-        {
-            let (dwx, dwh, db) = self.grads();
-            dwx.add_tgemm(1.0, &step.x, &d_z);
-            dwh.add_tgemm(1.0, &step.hp_prev, &d_z);
-            for r in 0..b {
-                for (acc, v) in db.iter_mut().zip(d_z.row(r)) {
-                    *acc += v;
-                }
-            }
-        }
+        self.accumulate(&step.x, &step.hp_prev, &d_z, &d_z);
 
         let d_hp_prev = d_z.matmul_nt(&self.wh);
         let d_x = if need_dx {
@@ -324,70 +245,14 @@ impl LstmCell {
 
 impl Parameterized for LstmCell {
     fn visit_params(&mut self, visitor: &mut dyn ParamVisitor) {
-        let (i, h) = (self.input, self.hidden);
-        let dwx = self.dwx.get_or_insert_with(|| Matrix::zeros(i, 4 * h));
-        visitor.visit("lstm.wx", self.wx.as_mut_slice(), dwx.as_mut_slice());
-        let dwh = self.dwh.get_or_insert_with(|| Matrix::zeros(h, 4 * h));
-        visitor.visit("lstm.wh", self.wh.as_mut_slice(), dwh.as_mut_slice());
-        let db = self.db.get_or_insert_with(|| vec![0.0; 4 * h]);
-        visitor.visit("lstm.b", &mut self.b, db);
+        self.visit(["lstm.wx", "lstm.wh", "lstm.b"], visitor);
     }
-}
-
-/// Cached activations for a whole unrolled sequence.
-#[derive(Clone, Debug)]
-pub struct SequenceCache {
-    steps: Vec<LstmStep>,
-    /// Transformed hidden states `hp[t]`, one per step (`B × dh`).
-    hp: Vec<Matrix>,
-    h0: Matrix,
-    c0: Matrix,
 }
 
 impl SequenceCache {
-    /// Transformed hidden state at step `t` — what the classifier and the
-    /// next step consume.
-    pub fn hp(&self, t: usize) -> &Matrix {
-        &self.hp[t]
-    }
-
-    /// Raw hidden state at step `t`.
-    pub fn h_raw(&self, t: usize) -> &Matrix {
-        &self.steps[t].h
-    }
-
     /// Cell state at step `t`.
     pub fn c(&self, t: usize) -> &Matrix {
         &self.steps[t].c
-    }
-
-    /// Initial hidden state of the window (pre-transform).
-    pub fn h0(&self) -> &Matrix {
-        &self.h0
-    }
-
-    /// Initial cell state of the window.
-    pub fn c0(&self) -> &Matrix {
-        &self.c0
-    }
-
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Returns `true` for an empty cache.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Final transformed hidden state (`B × dh`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is empty.
-    pub fn last_hp(&self) -> &Matrix {
-        self.hp.last().expect("empty sequence cache")
     }
 
     /// Final cell state (`B × dh`).
@@ -400,33 +265,14 @@ impl SequenceCache {
     }
 }
 
-/// Gradients returned by [`LstmLayer::backward_sequence`].
-#[derive(Clone, Debug)]
-pub struct SequenceGrads {
-    /// Per-step input gradients (present when requested).
-    pub d_xs: Option<Vec<Matrix>>,
-    /// Gradient w.r.t. the initial hidden state.
-    pub d_h0: Matrix,
-    /// Gradient w.r.t. the initial cell state.
-    pub d_c0: Matrix,
-}
+/// An LSTM unrolled over time with a [`StateTransform`] on the state path
+/// (see [`Recurrent`]).
+pub type LstmLayer = Layer<4>;
 
-/// An LSTM unrolled over time with a [`StateTransform`] on the state path.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct LstmLayer {
-    cell: LstmCell,
-}
+impl Recurrent for LstmLayer {
+    type Step = LstmStep;
 
-impl LstmLayer {
-    /// Creates a layer around a fresh [`LstmCell`].
-    pub fn new(input: usize, hidden: usize, rng: &mut SeedableStream) -> Self {
-        Self {
-            cell: LstmCell::new(input, hidden, rng),
-        }
-    }
-
-    /// [`Self::new`] with an explicit [`GateActivations`] contract.
-    pub fn with_activations(
+    fn with_activations(
         input: usize,
         hidden: usize,
         acts: GateActivations,
@@ -437,32 +283,21 @@ impl LstmLayer {
         }
     }
 
-    /// The underlying cell.
-    pub fn cell(&self) -> &LstmCell {
-        &self.cell
+    fn hidden_dim(&self) -> usize {
+        self.cell.hidden_dim()
     }
 
-    /// Runs the unrolled forward pass.
-    ///
-    /// `xs[t]` is the `B × dx` input at step `t`; `h0`/`c0` are the initial
-    /// states. The transform is applied to `h0` as well (the paper prunes
-    /// every state entering Eq. 4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or shapes mismatch.
-    pub fn forward_sequence(
+    fn forward_sequence(
         &self,
         xs: &[Matrix],
-        h0: &Matrix,
-        c0: &Matrix,
+        state: &CarryState,
         transform: &dyn StateTransform,
     ) -> SequenceCache {
         assert!(!xs.is_empty(), "forward_sequence needs at least one step");
         let mut steps = Vec::with_capacity(xs.len());
         let mut hp_list = Vec::with_capacity(xs.len());
-        let mut hp_prev = transform.apply(h0);
-        let mut c_prev = c0.clone();
+        let mut hp_prev = transform.apply(&state.h);
+        let mut c_prev = state.c.clone();
         for x in xs {
             let step = self.cell.forward(x, &hp_prev, &c_prev);
             let hp = transform.apply(&step.h);
@@ -474,22 +309,16 @@ impl LstmLayer {
         SequenceCache {
             steps,
             hp: hp_list,
-            h0: h0.clone(),
-            c0: c0.clone(),
+            h0: state.h.clone(),
         }
     }
 
-    /// Runs truncated BPTT over a cached sequence.
-    ///
-    /// `d_hp[t]` is the gradient w.r.t. the *transformed* state `hp[t]`
-    /// coming from the output path at step `t` (zero matrices where a step
-    /// has no output loss). Gradients accumulate into the cell. Returns
-    /// input/initial-state gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d_hp.len() != cache.len()`.
-    pub fn backward_sequence(
+    fn carry(cache: &SequenceCache, state: &mut CarryState) {
+        state.h = cache.last_hp().clone();
+        state.c = cache.last_c().clone();
+    }
+
+    fn backward_sequence(
         &mut self,
         cache: &SequenceCache,
         d_hp: &[Matrix],
@@ -501,11 +330,7 @@ impl LstmLayer {
         let b = cache.steps[0].h.rows();
         let dh = self.cell.hidden_dim();
 
-        let mut d_xs = if need_dx {
-            Some(Vec::with_capacity(t_len))
-        } else {
-            None
-        };
+        let mut d_xs = need_dx.then(|| Vec::with_capacity(t_len));
         let mut carry_d_hp = Matrix::zeros(b, dh);
         let mut carry_d_c = Matrix::zeros(b, dh);
         for t in (0..t_len).rev() {
@@ -527,17 +352,7 @@ impl LstmLayer {
         }
         // Through the transform applied to h0.
         let d_h0 = transform.backward(&cache.h0, &carry_d_hp);
-        SequenceGrads {
-            d_xs,
-            d_h0,
-            d_c0: carry_d_c,
-        }
-    }
-}
-
-impl Parameterized for LstmLayer {
-    fn visit_params(&mut self, visitor: &mut dyn ParamVisitor) {
-        self.cell.visit_params(visitor);
+        SequenceGrads { d_xs, d_h0 }
     }
 }
 
@@ -619,12 +434,11 @@ mod tests {
         let xs: Vec<Matrix> = (0..3)
             .map(|t| Matrix::from_fn(2, 3, |r, c| ((t + r + c) as f32 * 0.3).sin()))
             .collect();
-        let h0 = Matrix::zeros(2, 4);
-        let c0 = Matrix::zeros(2, 4);
-        let cache = layer.forward_sequence(&xs, &h0, &c0, &IdentityTransform);
+        let state = CarryState::zeros(2, 4);
+        let cache = layer.forward_sequence(&xs, &state, &IdentityTransform);
 
-        let mut h = h0.clone();
-        let mut c = c0.clone();
+        let mut h = state.h.clone();
+        let mut c = state.c.clone();
         for (t, x) in xs.iter().enumerate() {
             let step = layer.cell().forward(x, &h, &c);
             h = step.h.clone();
@@ -642,12 +456,11 @@ mod tests {
         let xs: Vec<Matrix> = (0..4)
             .map(|t| Matrix::from_fn(2, 2, |r, c| ((t * 2 + r + c) as f32 * 0.41).sin()))
             .collect();
-        let h0 = Matrix::zeros(2, 3);
-        let c0 = Matrix::zeros(2, 3);
+        let state = CarryState::zeros(2, 3);
 
         // Loss = sum of all transformed outputs (d_hp = ones).
         let loss_of = |layer: &LstmLayer| -> f64 {
-            let cache = layer.forward_sequence(&xs, &h0, &c0, &IdentityTransform);
+            let cache = layer.forward_sequence(&xs, &state, &IdentityTransform);
             (0..cache.len())
                 .map(|t| {
                     cache
@@ -661,7 +474,7 @@ mod tests {
         };
 
         layer.zero_grads();
-        let cache = layer.forward_sequence(&xs, &h0, &c0, &IdentityTransform);
+        let cache = layer.forward_sequence(&xs, &state, &IdentityTransform);
         let ones: Vec<Matrix> = (0..cache.len())
             .map(|_| Matrix::from_fn(2, 3, |_, _| 1.0))
             .collect();
@@ -729,9 +542,8 @@ mod tests {
         let xs: Vec<Matrix> = (0..2)
             .map(|_| Matrix::from_fn(1, 2, |_, c| c as f32 * 0.1 + 0.05))
             .collect();
-        let h0 = Matrix::zeros(1, 3);
-        let c0 = Matrix::zeros(1, 3);
-        let cache = layer.forward_sequence(&xs, &h0, &c0, &IdentityTransform);
+        let state = CarryState::zeros(1, 3);
+        let cache = layer.forward_sequence(&xs, &state, &IdentityTransform);
         let d_hp: Vec<Matrix> = (0..2).map(|_| Matrix::from_fn(1, 3, |_, _| 1.0)).collect();
         let grads = layer.backward_sequence(&cache, &d_hp, &IdentityTransform, true);
         let d_xs = grads.d_xs.expect("requested input grads");
@@ -758,9 +570,8 @@ mod tests {
         let mut rng = SeedableStream::new(10);
         let mut layer = LstmLayer::new(2, 3, &mut rng);
         let xs = vec![Matrix::from_fn(1, 2, |_, c| 0.3 + c as f32 * 0.2); 3];
-        let h0 = Matrix::zeros(1, 3);
-        let c0 = Matrix::zeros(1, 3);
-        let cache = layer.forward_sequence(&xs, &h0, &c0, &Blackout);
+        let state = CarryState::zeros(1, 3);
+        let cache = layer.forward_sequence(&xs, &state, &Blackout);
         // Every transformed state must be zero.
         for t in 0..cache.len() {
             assert_eq!(cache.hp(t).max_abs(), 0.0);

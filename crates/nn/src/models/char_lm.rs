@@ -1,18 +1,16 @@
 //! Character-level language model (Section II-B1).
 
-use super::{BatchStats, CarryState};
-use crate::linear::Linear;
-use crate::loss::softmax_cross_entropy;
-use crate::lstm::{LstmLayer, StateTransform};
-use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
-use zskip_tensor::{GateActivations, Matrix, SeedableStream};
+use super::{Lm, OneHot};
+use crate::lstm::LstmLayer;
 
 /// One LSTM layer over one-hot characters followed by a softmax classifier.
 ///
 /// The paper notes that for one-hot inputs "the vector-matrix
 /// multiplication of `Wx·x` is implemented as a look-up table"; here the
 /// one-hot rows make the GEMM degenerate to exactly that lookup.
+///
+/// Tensor contract: `lstm.wx` (`vocab × 4dh`), `lstm.wh` (`dh × 4dh`),
+/// `lstm.b` (`4dh`), `linear.w` (`dh × vocab`), `linear.b` (`vocab`).
 ///
 /// # Example
 ///
@@ -29,244 +27,15 @@ use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 /// let stats = model.train_batch(&inputs, &targets, &mut state, &IdentityTransform);
 /// assert_eq!(stats.tokens, 4);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CharLm {
-    vocab: usize,
-    hidden: usize,
-    lstm: LstmLayer,
-    head: Linear,
-}
-
-impl CharLm {
-    /// Creates a model for `vocab` symbols with `hidden` LSTM units.
-    pub fn new(vocab: usize, hidden: usize, rng: &mut SeedableStream) -> Self {
-        Self::with_activations(vocab, hidden, GateActivations::Smooth, rng)
-    }
-
-    /// [`Self::new`] under an explicit [`GateActivations`] contract for the
-    /// recurrent gates (the head stays plain f32 arithmetic).
-    pub fn with_activations(
-        vocab: usize,
-        hidden: usize,
-        acts: GateActivations,
-        rng: &mut SeedableStream,
-    ) -> Self {
-        Self {
-            vocab,
-            hidden,
-            lstm: LstmLayer::with_activations(vocab, hidden, acts, rng),
-            head: Linear::new(hidden, vocab, rng),
-        }
-    }
-
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
-    /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// The recurrent layer (read access for analysis/quantization).
-    pub fn lstm(&self) -> &LstmLayer {
-        &self.lstm
-    }
-
-    /// The classifier head.
-    pub fn head(&self) -> &Linear {
-        &self.head
-    }
-
-    fn one_hot(&self, ids: &[usize]) -> Matrix {
-        let mut m = Matrix::zeros(ids.len(), self.vocab);
-        for (r, &id) in ids.iter().enumerate() {
-            assert!(id < self.vocab, "char id {id} out of vocab {}", self.vocab);
-            m[(r, id)] = 1.0;
-        }
-        m
-    }
-
-    fn run_forward(
-        &self,
-        inputs: &[Vec<usize>],
-        state: &CarryState,
-        transform: &dyn StateTransform,
-    ) -> (crate::lstm::SequenceCache, Vec<Matrix>) {
-        assert!(!inputs.is_empty(), "empty batch");
-        let xs: Vec<Matrix> = inputs.iter().map(|ids| self.one_hot(ids)).collect();
-        let cache = self
-            .lstm
-            .forward_sequence(&xs, &state.h, &state.c, transform);
-        let logits: Vec<Matrix> = (0..cache.len())
-            .map(|t| self.head.forward(cache.hp(t)))
-            .collect();
-        (cache, logits)
-    }
-
-    /// Forward + backward over one BPTT window, accumulating gradients.
-    ///
-    /// `inputs[t]` / `targets[t]` hold the ids for step `t` across the
-    /// batch. `state` is advanced (detached) to the window's final state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` and `targets` have different shapes.
-    pub fn train_batch(
-        &mut self,
-        inputs: &[Vec<usize>],
-        targets: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-    ) -> BatchStats {
-        assert_eq!(inputs.len(), targets.len(), "T mismatch");
-        let (cache, logits) = self.run_forward(inputs, state, transform);
-        let t_len = cache.len();
-        let inv_t = 1.0 / t_len as f32;
-
-        let mut total_nats = 0.0f64;
-        let mut correct = 0usize;
-        let mut tokens = 0usize;
-        let mut d_hp = Vec::with_capacity(t_len);
-        for t in 0..t_len {
-            let out = softmax_cross_entropy(&logits[t], &targets[t]);
-            total_nats += out.loss as f64 * inv_t as f64;
-            correct += out.correct;
-            tokens += targets[t].len();
-            let mut d_logits = out.d_logits;
-            d_logits.scale(inv_t);
-            d_hp.push(self.head.backward(cache.hp(t), &d_logits));
-        }
-        self.lstm.backward_sequence(&cache, &d_hp, transform, false);
-
-        state.h = cache.last_hp().clone();
-        state.c = cache.last_c().clone();
-        BatchStats {
-            mean_nats: total_nats as f32,
-            tokens,
-            correct,
-        }
-    }
-
-    /// Forward-only evaluation over one window; advances `state`.
-    pub fn eval_batch(
-        &self,
-        inputs: &[Vec<usize>],
-        targets: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-    ) -> BatchStats {
-        assert_eq!(inputs.len(), targets.len(), "T mismatch");
-        let (cache, logits) = self.run_forward(inputs, state, transform);
-        let t_len = cache.len();
-        let inv_t = 1.0 / t_len as f32;
-        let mut total_nats = 0.0f64;
-        let mut correct = 0usize;
-        let mut tokens = 0usize;
-        for t in 0..t_len {
-            let out = softmax_cross_entropy(&logits[t], &targets[t]);
-            total_nats += out.loss as f64 * inv_t as f64;
-            correct += out.correct;
-            tokens += targets[t].len();
-        }
-        state.h = cache.last_hp().clone();
-        state.c = cache.last_c().clone();
-        BatchStats {
-            mean_nats: total_nats as f32,
-            tokens,
-            correct,
-        }
-    }
-
-    /// Forward-only pass that returns the transformed hidden-state trace
-    /// (`T` matrices of `B × dh`) — the input the sparsity analysis and the
-    /// accelerator simulation consume.
-    pub fn state_trace(
-        &self,
-        inputs: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-    ) -> Vec<Matrix> {
-        let (cache, _) = self.run_forward(inputs, state, transform);
-        state.h = cache.last_hp().clone();
-        state.c = cache.last_c().clone();
-        (0..cache.len()).map(|t| cache.hp(t).clone()).collect()
-    }
-}
-
-impl Parameterized for CharLm {
-    fn visit_params(&mut self, visitor: &mut dyn ParamVisitor) {
-        self.lstm.visit_params(visitor);
-        self.head.visit_params(visitor);
-    }
-}
-
-/// Tensor contract: `lstm.wx` (`vocab × 4dh`), `lstm.wh` (`dh × 4dh`),
-/// `lstm.b` (`4dh`), `linear.w` (`dh × vocab`), `linear.b` (`vocab`).
-impl crate::Freezable for CharLm {}
+pub type CharLm = Lm<OneHot, LstmLayer>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lstm::IdentityTransform;
-    use crate::optim::{Adam, Optimizer};
-
-    fn toy_batch(
-        t: usize,
-        b: usize,
-        vocab: usize,
-        seed: u64,
-    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let mut rng = SeedableStream::new(seed);
-        let mk = |rng: &mut SeedableStream| {
-            (0..t)
-                .map(|_| (0..b).map(|_| rng.index(vocab)).collect())
-                .collect::<Vec<Vec<usize>>>()
-        };
-        (mk(&mut rng), mk(&mut rng))
-    }
-
-    #[test]
-    fn loss_starts_near_uniform() {
-        let mut rng = SeedableStream::new(1);
-        let model = CharLm::new(10, 12, &mut rng);
-        let (inputs, targets) = toy_batch(4, 3, 10, 2);
-        let mut state = CarryState::zeros(3, 12);
-        let stats = model.eval_batch(&inputs, &targets, &mut state, &IdentityTransform);
-        let uniform = (10.0f32).ln();
-        assert!(
-            (stats.mean_nats - uniform).abs() < 0.5,
-            "{}",
-            stats.mean_nats
-        );
-    }
-
-    #[test]
-    fn training_reduces_loss_on_fixed_pattern() {
-        // Deterministic next-char task: target = input. A few Adam steps
-        // must cut the loss well below uniform.
-        let mut rng = SeedableStream::new(3);
-        let mut model = CharLm::new(6, 24, &mut rng);
-        let inputs: Vec<Vec<usize>> = (0..5).map(|t| vec![t % 6, (t + 1) % 6]).collect();
-        let targets = inputs.clone();
-        let mut opt = Adam::new(0.02);
-        let mut first = None;
-        let mut last = 0.0;
-        for _ in 0..60 {
-            let mut state = CarryState::zeros(2, 24);
-            model.zero_grads();
-            let stats = model.train_batch(&inputs, &targets, &mut state, &IdentityTransform);
-            opt.step(&mut model);
-            first.get_or_insert(stats.mean_nats);
-            last = stats.mean_nats;
-        }
-        assert!(
-            last < first.unwrap() * 0.5,
-            "no learning: first {:?} last {last}",
-            first
-        );
-    }
+    use crate::models::lm::tests::toy_batch;
+    use crate::models::CarryState;
+    use zskip_tensor::SeedableStream;
 
     #[test]
     fn state_carries_between_windows() {

@@ -1,21 +1,19 @@
 //! GRU variant of the character-level language model — used to test the
 //! paper's implicit claim that state pruning generalizes beyond LSTMs.
 
-use super::{BatchStats, CarryState};
+use super::{Lm, OneHot};
 use crate::gru::GruLayer;
-use crate::linear::Linear;
-use crate::loss::softmax_cross_entropy;
-use crate::lstm::StateTransform;
-use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
-use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 
 /// One GRU layer over one-hot characters followed by a softmax classifier.
 ///
 /// Note the architectural difference that matters for pruning: a GRU has
 /// no protected cell state — its *only* memory is the pruned `h` — so
 /// aggressive thresholds bite harder than in the LSTM (quantified by the
-/// `ablation_cell_type` binary).
+/// `ablation_cell_type` binary). Training and evaluation advance
+/// `state.h` and leave `state.c` untouched.
+///
+/// Tensor contract: `gru.wx` (`vocab × 3dh`), `gru.wh` (`dh × 3dh`),
+/// `gru.b` (`3dh`), `linear.w` (`dh × vocab`), `linear.b` (`vocab`).
 ///
 /// # Example
 ///
@@ -32,201 +30,4 @@ use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 ///     &IdentityTransform);
 /// assert_eq!(stats.tokens, 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct GruCharLm {
-    vocab: usize,
-    hidden: usize,
-    gru: GruLayer,
-    head: Linear,
-}
-
-impl GruCharLm {
-    /// Creates a model for `vocab` symbols with `hidden` GRU units.
-    pub fn new(vocab: usize, hidden: usize, rng: &mut SeedableStream) -> Self {
-        Self::with_activations(vocab, hidden, GateActivations::Smooth, rng)
-    }
-
-    /// [`Self::new`] under an explicit [`GateActivations`] contract for the
-    /// recurrent gates (the head stays plain f32 arithmetic).
-    pub fn with_activations(
-        vocab: usize,
-        hidden: usize,
-        acts: GateActivations,
-        rng: &mut SeedableStream,
-    ) -> Self {
-        Self {
-            vocab,
-            hidden,
-            gru: GruLayer::with_activations(vocab, hidden, acts, rng),
-            head: Linear::new(hidden, vocab, rng),
-        }
-    }
-
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
-    /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// The recurrent layer.
-    pub fn gru(&self) -> &GruLayer {
-        &self.gru
-    }
-
-    /// The classifier head.
-    pub fn head(&self) -> &Linear {
-        &self.head
-    }
-
-    fn one_hot(&self, ids: &[usize]) -> Matrix {
-        let mut m = Matrix::zeros(ids.len(), self.vocab);
-        for (r, &id) in ids.iter().enumerate() {
-            assert!(id < self.vocab, "char id {id} out of vocab {}", self.vocab);
-            m[(r, id)] = 1.0;
-        }
-        m
-    }
-
-    /// Forward + backward over one BPTT window; advances `state.h`
-    /// (the GRU has no cell state; `state.c` is left untouched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` and `targets` have different shapes.
-    pub fn train_batch(
-        &mut self,
-        inputs: &[Vec<usize>],
-        targets: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-    ) -> BatchStats {
-        assert_eq!(inputs.len(), targets.len(), "T mismatch");
-        let xs: Vec<Matrix> = inputs.iter().map(|ids| self.one_hot(ids)).collect();
-        let cache = self.gru.forward_sequence(&xs, &state.h, transform);
-        let t_len = cache.len();
-        let inv_t = 1.0 / t_len as f32;
-
-        let mut total_nats = 0.0f64;
-        let mut correct = 0usize;
-        let mut tokens = 0usize;
-        let mut d_hp = Vec::with_capacity(t_len);
-        for (t, step_targets) in targets.iter().enumerate() {
-            let logits = self.head.forward(cache.hp(t));
-            let out = softmax_cross_entropy(&logits, step_targets);
-            total_nats += out.loss as f64 * inv_t as f64;
-            correct += out.correct;
-            tokens += step_targets.len();
-            let mut d_logits = out.d_logits;
-            d_logits.scale(inv_t);
-            d_hp.push(self.head.backward(cache.hp(t), &d_logits));
-        }
-        self.gru.backward_sequence(&cache, &d_hp, transform, false);
-
-        state.h = cache.last_hp().clone();
-        BatchStats {
-            mean_nats: total_nats as f32,
-            tokens,
-            correct,
-        }
-    }
-
-    /// Forward-only evaluation; advances `state.h`.
-    pub fn eval_batch(
-        &self,
-        inputs: &[Vec<usize>],
-        targets: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-    ) -> BatchStats {
-        assert_eq!(inputs.len(), targets.len(), "T mismatch");
-        let xs: Vec<Matrix> = inputs.iter().map(|ids| self.one_hot(ids)).collect();
-        let cache = self.gru.forward_sequence(&xs, &state.h, transform);
-        let t_len = cache.len();
-        let inv_t = 1.0 / t_len as f32;
-        let mut total_nats = 0.0f64;
-        let mut correct = 0usize;
-        let mut tokens = 0usize;
-        for (t, step_targets) in targets.iter().enumerate() {
-            let logits = self.head.forward(cache.hp(t));
-            let out = softmax_cross_entropy(&logits, step_targets);
-            total_nats += out.loss as f64 * inv_t as f64;
-            correct += out.correct;
-            tokens += step_targets.len();
-        }
-        state.h = cache.last_hp().clone();
-        BatchStats {
-            mean_nats: total_nats as f32,
-            tokens,
-            correct,
-        }
-    }
-
-    /// Forward-only pass returning the transformed state trace.
-    pub fn state_trace(
-        &self,
-        inputs: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-    ) -> Vec<Matrix> {
-        let xs: Vec<Matrix> = inputs.iter().map(|ids| self.one_hot(ids)).collect();
-        let cache = self.gru.forward_sequence(&xs, &state.h, transform);
-        state.h = cache.last_hp().clone();
-        (0..cache.len()).map(|t| cache.hp(t).clone()).collect()
-    }
-}
-
-impl Parameterized for GruCharLm {
-    fn visit_params(&mut self, visitor: &mut dyn ParamVisitor) {
-        self.gru.visit_params(visitor);
-        self.head.visit_params(visitor);
-    }
-}
-
-/// Tensor contract: `gru.wx` (`vocab × 3dh`), `gru.wh` (`dh × 3dh`),
-/// `gru.b` (`3dh`), `linear.w` (`dh × vocab`), `linear.b` (`vocab`).
-impl crate::Freezable for GruCharLm {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lstm::IdentityTransform;
-    use crate::optim::{Adam, Optimizer};
-
-    #[test]
-    fn loss_starts_near_uniform() {
-        let mut rng = SeedableStream::new(1);
-        let model = GruCharLm::new(10, 12, &mut rng);
-        let mut state = CarryState::zeros(2, 12);
-        let stats = model.eval_batch(
-            &[vec![0usize, 1], vec![2, 3]],
-            &[vec![4usize, 5], vec![6, 7]],
-            &mut state,
-            &IdentityTransform,
-        );
-        assert!((stats.mean_nats - (10.0f32).ln()).abs() < 0.5);
-    }
-
-    #[test]
-    fn training_learns_fixed_pattern() {
-        let mut rng = SeedableStream::new(2);
-        let mut model = GruCharLm::new(6, 24, &mut rng);
-        let inputs: Vec<Vec<usize>> = (0..5).map(|t| vec![t % 6, (t + 1) % 6]).collect();
-        let targets = inputs.clone();
-        let mut opt = Adam::new(0.02);
-        let mut first = None;
-        let mut last = 0.0;
-        for _ in 0..80 {
-            let mut state = CarryState::zeros(2, 24);
-            model.zero_grads();
-            let stats = model.train_batch(&inputs, &targets, &mut state, &IdentityTransform);
-            opt.step(&mut model);
-            first.get_or_insert(stats.mean_nats);
-            last = stats.mean_nats;
-        }
-        assert!(last < first.unwrap() * 0.5, "first {first:?} last {last}");
-    }
-}
+pub type GruCharLm = Lm<OneHot, GruLayer>;

@@ -1,12 +1,21 @@
-//! Sequential image classification (Section II-B3).
+//! Sequential image classification (Section II-B3): the classifier shape.
 
-use super::BatchStats;
+use super::{BatchStats, CarryState, InputEncoder, Recurrent, Rows, Tally};
+use crate::gates::SequenceCache;
 use crate::linear::Linear;
-use crate::loss::softmax_cross_entropy;
 use crate::lstm::{LstmLayer, StateTransform};
 use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
 use zskip_tensor::{GateActivations, Matrix, SeedableStream};
+
+/// A sequence classifier: [`Rows`] steps into one [`Recurrent`] layer
+/// from a zero state, with a softmax read-out from the final transformed
+/// state only.
+#[derive(Clone, Debug)]
+pub struct Classifier<R> {
+    input: Rows,
+    rnn: R,
+    head: Linear,
+}
 
 /// Pixel-by-pixel sequence classifier: one scalar pixel per timestep into
 /// an LSTM, with a softmax read-out from the final hidden state — the
@@ -15,6 +24,9 @@ use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 /// For this task `dx = 1`, so virtually all recurrent work is the
 /// skippable `Wh·h` product — which is why MNIST shows large sparse
 /// speedups in Fig. 8 despite its small `dh`.
+///
+/// Tensor contract: `lstm.wx` (`dx × 4dh`), `lstm.wh` (`dh × 4dh`),
+/// `lstm.b` (`4dh`), `linear.w` (`dh × classes`), `linear.b` (`classes`).
 ///
 /// # Example
 ///
@@ -30,18 +42,12 @@ use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 /// let stats = model.eval_batch(&pixels, &[3, 7], &IdentityTransform);
 /// assert_eq!(stats.tokens, 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SeqClassifier {
-    classes: usize,
-    input_dim: usize,
-    hidden: usize,
-    lstm: LstmLayer,
-    head: Linear,
-}
+pub type SeqClassifier = Classifier<LstmLayer>;
 
-impl SeqClassifier {
+impl<R: Recurrent> Classifier<R> {
     /// Creates a classifier with `classes` output classes and `hidden`
-    /// LSTM units over scalar (pixel-by-pixel) inputs, as in the paper.
+    /// recurrent units over scalar (pixel-by-pixel) inputs, as in the
+    /// paper.
     pub fn new(classes: usize, hidden: usize, rng: &mut SeedableStream) -> Self {
         Self::with_input_dim(classes, 1, hidden, rng)
     }
@@ -68,46 +74,33 @@ impl SeqClassifier {
         acts: GateActivations,
         rng: &mut SeedableStream,
     ) -> Self {
+        let rnn = R::with_activations(input_dim, hidden, acts, rng);
+        let head = Linear::new(hidden, classes, rng);
         Self {
-            classes,
-            input_dim,
-            hidden,
-            lstm: LstmLayer::with_activations(input_dim, hidden, acts, rng),
-            head: Linear::new(hidden, classes, rng),
+            input: Rows { width: input_dim },
+            rnn,
+            head,
         }
     }
 
     /// Input width per step (1 for pixel scan).
     pub fn input_dim(&self) -> usize {
-        self.input_dim
+        self.input.width
     }
 
     /// Number of classes.
     pub fn class_count(&self) -> usize {
-        self.classes
+        self.head.output_dim()
     }
 
     /// Hidden dimension.
     pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// The recurrent layer.
-    pub fn lstm(&self) -> &LstmLayer {
-        &self.lstm
+        self.rnn.hidden_dim()
     }
 
     /// The classifier head.
     pub fn head(&self) -> &Linear {
         &self.head
-    }
-
-    fn to_xs(pixels: &[Vec<f32>]) -> Vec<Matrix> {
-        assert!(!pixels.is_empty(), "empty pixel sequence");
-        pixels
-            .iter()
-            .map(|step| Matrix::from_vec(step.len(), 1, step.clone()))
-            .collect()
     }
 
     /// Forward + backward on one batch of pixel sequences.
@@ -125,8 +118,7 @@ impl SeqClassifier {
         labels: &[usize],
         transform: &dyn StateTransform,
     ) -> BatchStats {
-        assert_eq!(self.input_dim, 1, "pixel API requires a scalar-input model");
-        let xs = Self::to_xs(pixels);
+        let xs = self.pixel_steps(pixels);
         self.train_batch_xs(&xs, labels, transform)
     }
 
@@ -142,28 +134,15 @@ impl SeqClassifier {
         labels: &[usize],
         transform: &dyn StateTransform,
     ) -> BatchStats {
-        let b = labels.len();
-        assert!(xs.iter().all(|m| m.rows() == b), "lane count mismatch");
-        let h0 = Matrix::zeros(b, self.hidden);
-        let c0 = Matrix::zeros(b, self.hidden);
-        let cache = self.lstm.forward_sequence(xs, &h0, &c0, transform);
-
-        let final_hp = cache.last_hp().clone();
-        let logits = self.head.forward(&final_hp);
-        let out = softmax_cross_entropy(&logits, labels);
-        let d_final = self.head.backward(&final_hp, &out.d_logits);
-
-        let mut d_hp: Vec<Matrix> = (0..cache.len())
-            .map(|_| Matrix::zeros(b, self.hidden))
-            .collect();
-        *d_hp.last_mut().expect("non-empty") = d_final;
-        self.lstm.backward_sequence(&cache, &d_hp, transform, false);
-
-        BatchStats {
-            mean_nats: out.loss,
-            tokens: b,
-            correct: out.correct,
-        }
+        let cache = self.unroll(xs, labels.len(), transform);
+        let last = xs.len() - 1;
+        let final_hp = cache.hp(last);
+        let mut tally = Tally::default();
+        let d_logits = tally.score(&self.head.forward(final_hp), labels, 1.0);
+        let mut d_hp = vec![Matrix::zeros(labels.len(), self.hidden_dim()); xs.len()];
+        d_hp[last] = self.head.backward(final_hp, &d_logits);
+        self.rnn.backward_sequence(&cache, &d_hp, transform, false);
+        tally.stats()
     }
 
     /// Forward-only evaluation.
@@ -173,9 +152,7 @@ impl SeqClassifier {
         labels: &[usize],
         transform: &dyn StateTransform,
     ) -> BatchStats {
-        assert_eq!(self.input_dim, 1, "pixel API requires a scalar-input model");
-        let xs = Self::to_xs(pixels);
-        self.eval_batch_xs(&xs, labels, transform)
+        self.eval_batch_xs(&self.pixel_steps(pixels), labels, transform)
     }
 
     /// Vector-input variant of [`Self::eval_batch`].
@@ -185,47 +162,64 @@ impl SeqClassifier {
         labels: &[usize],
         transform: &dyn StateTransform,
     ) -> BatchStats {
-        let b = labels.len();
-        assert!(xs.iter().all(|m| m.rows() == b), "lane count mismatch");
-        let h0 = Matrix::zeros(b, self.hidden);
-        let c0 = Matrix::zeros(b, self.hidden);
-        let cache = self.lstm.forward_sequence(xs, &h0, &c0, transform);
-        let logits = self.head.forward(cache.last_hp());
-        let out = softmax_cross_entropy(&logits, labels);
-        BatchStats {
-            mean_nats: out.loss,
-            tokens: b,
-            correct: out.correct,
-        }
+        let cache = self.unroll(xs, labels.len(), transform);
+        let mut tally = Tally::default();
+        let logits = self.head.forward(cache.hp(xs.len() - 1));
+        tally.score(&logits, labels, 1.0);
+        tally.stats()
     }
 
     /// Forward-only pass returning the transformed hidden-state trace.
     pub fn state_trace(&self, pixels: &[Vec<f32>], transform: &dyn StateTransform) -> Vec<Matrix> {
-        assert_eq!(self.input_dim, 1, "pixel API requires a scalar-input model");
-        let xs = Self::to_xs(pixels);
-        self.state_trace_xs(&xs, transform)
+        self.state_trace_xs(&self.pixel_steps(pixels), transform)
     }
 
     /// Vector-input variant of [`Self::state_trace`].
     pub fn state_trace_xs(&self, xs: &[Matrix], transform: &dyn StateTransform) -> Vec<Matrix> {
-        let b = xs[0].rows();
-        let h0 = Matrix::zeros(b, self.hidden);
-        let c0 = Matrix::zeros(b, self.hidden);
-        let cache = self.lstm.forward_sequence(xs, &h0, &c0, transform);
-        (0..cache.len()).map(|t| cache.hp(t).clone()).collect()
+        let cache = self.unroll(xs, xs[0].rows(), transform);
+        (0..xs.len()).map(|t| cache.hp(t).clone()).collect()
+    }
+
+    fn pixel_steps(&self, pixels: &[Vec<f32>]) -> Vec<Matrix> {
+        assert_eq!(
+            self.input.width, 1,
+            "pixel API requires a scalar-input model"
+        );
+        assert!(!pixels.is_empty(), "empty pixel sequence");
+        pixels.iter().map(|step| self.input.encode(step)).collect()
+    }
+
+    /// Unrolls `xs`, `lanes` rows each, from a zero state.
+    fn unroll(
+        &self,
+        xs: &[Matrix],
+        lanes: usize,
+        transform: &dyn StateTransform,
+    ) -> SequenceCache<R::Step> {
+        assert!(xs.iter().all(|m| m.rows() == lanes), "lane count mismatch");
+        let state = CarryState::zeros(lanes, self.hidden_dim());
+        self.rnn.forward_sequence(xs, &state, transform)
     }
 }
 
-impl Parameterized for SeqClassifier {
+impl Classifier<LstmLayer> {
+    /// The recurrent layer.
+    pub fn lstm(&self) -> &LstmLayer {
+        &self.rnn
+    }
+}
+
+/// Layer, then head (the [`Rows`] input has no parameters).
+impl<R: Parameterized> Parameterized for Classifier<R> {
     fn visit_params(&mut self, visitor: &mut dyn ParamVisitor) {
-        self.lstm.visit_params(visitor);
+        self.rnn.visit_params(visitor);
         self.head.visit_params(visitor);
     }
 }
 
-/// Tensor contract: `lstm.wx` (`dx × 4dh`), `lstm.wh` (`dh × 4dh`),
-/// `lstm.b` (`4dh`), `linear.w` (`dh × classes`), `linear.b` (`classes`).
-impl crate::Freezable for SeqClassifier {}
+/// Tensor contract: the layer's tensors, then `linear.w`
+/// (`dh × classes`) and `linear.b` (`classes`).
+impl<R: Recurrent> crate::Freezable for Classifier<R> {}
 
 #[cfg(test)]
 mod tests {

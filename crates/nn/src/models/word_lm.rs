@@ -1,22 +1,17 @@
 //! Word-level language model (Section II-B2).
 
-use super::{BatchStats, CarryState};
-use crate::dropout::Dropout;
-use crate::embedding::Embedding;
-use crate::linear::Linear;
-use crate::loss::softmax_cross_entropy;
-use crate::lstm::{LstmLayer, StateTransform};
-use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
-use zskip_tensor::{GateActivations, Matrix, SeedableStream};
+use super::{Embedded, Lm};
+use crate::lstm::LstmLayer;
 
 /// Embedding → dropout → LSTM → dropout → softmax classifier.
 ///
 /// Dropout is applied only on the non-recurrent connections, exactly as in
-/// Zaremba et al. \[17\], with a fresh mask per timestep. Because the input
-/// after the embedding is a dense real vector, the accelerator cannot skip
-/// the `Wx·x` half of the recurrent computation for this task — the source
-/// of the smaller speedups in Fig. 8.
+/// Zaremba et al. \[17\], with a fresh mask per timestep (see
+/// [`Embedded`]).
+///
+/// Tensor contract: `embedding.table` (`vocab × emb`), `lstm.wx`
+/// (`emb × 4dh`), `lstm.wh` (`dh × 4dh`), `lstm.b` (`4dh`), `linear.w`
+/// (`dh × vocab`), `linear.b` (`vocab`).
 ///
 /// # Example
 ///
@@ -33,268 +28,13 @@ use zskip_tensor::{GateActivations, Matrix, SeedableStream};
 /// let stats = model.eval_batch(&inputs, &targets, &mut state, &IdentityTransform);
 /// assert_eq!(stats.tokens, 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WordLm {
-    vocab: usize,
-    emb_dim: usize,
-    hidden: usize,
-    embedding: Embedding,
-    lstm: LstmLayer,
-    head: Linear,
-    #[serde(skip, default = "default_dropout")]
-    dropout: Dropout,
-}
-
-fn default_dropout() -> Dropout {
-    Dropout::new(0.5)
-}
-
-impl WordLm {
-    /// Creates the model: `vocab` words, `emb_dim` embedding size,
-    /// `hidden` LSTM units and `drop_p` dropout on non-recurrent paths.
-    pub fn new(
-        vocab: usize,
-        emb_dim: usize,
-        hidden: usize,
-        drop_p: f32,
-        rng: &mut SeedableStream,
-    ) -> Self {
-        Self::with_activations(vocab, emb_dim, hidden, drop_p, GateActivations::Smooth, rng)
-    }
-
-    /// [`Self::new`] under an explicit [`GateActivations`] contract for the
-    /// recurrent gates (embedding and head stay plain f32 arithmetic).
-    pub fn with_activations(
-        vocab: usize,
-        emb_dim: usize,
-        hidden: usize,
-        drop_p: f32,
-        acts: GateActivations,
-        rng: &mut SeedableStream,
-    ) -> Self {
-        Self {
-            vocab,
-            emb_dim,
-            hidden,
-            embedding: Embedding::new(vocab, emb_dim, rng),
-            lstm: LstmLayer::with_activations(emb_dim, hidden, acts, rng),
-            head: Linear::new(hidden, vocab, rng),
-            dropout: Dropout::new(drop_p),
-        }
-    }
-
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimension (`dx` as seen by the LSTM).
-    pub fn embedding_dim(&self) -> usize {
-        self.emb_dim
-    }
-
-    /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
-    /// The recurrent layer.
-    pub fn lstm(&self) -> &LstmLayer {
-        &self.lstm
-    }
-
-    /// The embedding table.
-    pub fn embedding(&self) -> &Embedding {
-        &self.embedding
-    }
-
-    /// The classifier head.
-    pub fn head(&self) -> &Linear {
-        &self.head
-    }
-
-    /// Forward + backward over one BPTT window with dropout active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` and `targets` have different shapes.
-    pub fn train_batch(
-        &mut self,
-        inputs: &[Vec<usize>],
-        targets: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-        rng: &mut SeedableStream,
-    ) -> BatchStats {
-        assert_eq!(inputs.len(), targets.len(), "T mismatch");
-        assert!(!inputs.is_empty(), "empty batch");
-        let t_len = inputs.len();
-        let inv_t = 1.0 / t_len as f32;
-
-        // Embed + input-side dropout (fresh mask per step).
-        let mut xs = Vec::with_capacity(t_len);
-        let mut in_masks = Vec::with_capacity(t_len);
-        for ids in inputs {
-            let e = self.embedding.forward(ids);
-            let (dropped, mask) = self.dropout.forward(&e, rng);
-            xs.push(dropped);
-            in_masks.push(mask);
-        }
-
-        let cache = self
-            .lstm
-            .forward_sequence(&xs, &state.h, &state.c, transform);
-
-        // Output-side dropout, head, loss.
-        let mut total_nats = 0.0f64;
-        let mut correct = 0usize;
-        let mut tokens = 0usize;
-        let mut d_hp = Vec::with_capacity(t_len);
-        for (t, step_targets) in targets.iter().enumerate() {
-            let (dropped_h, out_mask) = self.dropout.forward(cache.hp(t), rng);
-            let logits = self.head.forward(&dropped_h);
-            let out = softmax_cross_entropy(&logits, step_targets);
-            total_nats += out.loss as f64 * inv_t as f64;
-            correct += out.correct;
-            tokens += step_targets.len();
-            let mut d_logits = out.d_logits;
-            d_logits.scale(inv_t);
-            let d_dropped = self.head.backward(&dropped_h, &d_logits);
-            d_hp.push(self.dropout.backward(&d_dropped, &out_mask));
-        }
-
-        let grads = self.lstm.backward_sequence(&cache, &d_hp, transform, true);
-        let d_xs = grads.d_xs.expect("input grads requested");
-        for (t, d_x) in d_xs.iter().enumerate() {
-            let d_e = self.dropout.backward(d_x, &in_masks[t]);
-            self.embedding.backward(&inputs[t], &d_e);
-        }
-
-        state.h = cache.last_hp().clone();
-        state.c = cache.last_c().clone();
-        BatchStats {
-            mean_nats: total_nats as f32,
-            tokens,
-            correct,
-        }
-    }
-
-    /// Forward-only evaluation (dropout inactive); advances `state`.
-    pub fn eval_batch(
-        &self,
-        inputs: &[Vec<usize>],
-        targets: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-    ) -> BatchStats {
-        assert_eq!(inputs.len(), targets.len(), "T mismatch");
-        assert!(!inputs.is_empty(), "empty batch");
-        let t_len = inputs.len();
-        let inv_t = 1.0 / t_len as f32;
-        let xs: Vec<Matrix> = inputs
-            .iter()
-            .map(|ids| self.embedding.forward(ids))
-            .collect();
-        let cache = self
-            .lstm
-            .forward_sequence(&xs, &state.h, &state.c, transform);
-        let mut total_nats = 0.0f64;
-        let mut correct = 0usize;
-        let mut tokens = 0usize;
-        for (t, step_targets) in targets.iter().enumerate() {
-            let logits = self.head.forward(cache.hp(t));
-            let out = softmax_cross_entropy(&logits, step_targets);
-            total_nats += out.loss as f64 * inv_t as f64;
-            correct += out.correct;
-            tokens += step_targets.len();
-        }
-        state.h = cache.last_hp().clone();
-        state.c = cache.last_c().clone();
-        BatchStats {
-            mean_nats: total_nats as f32,
-            tokens,
-            correct,
-        }
-    }
-
-    /// Forward-only pass returning the transformed hidden-state trace.
-    pub fn state_trace(
-        &self,
-        inputs: &[Vec<usize>],
-        state: &mut CarryState,
-        transform: &dyn StateTransform,
-    ) -> Vec<Matrix> {
-        let xs: Vec<Matrix> = inputs
-            .iter()
-            .map(|ids| self.embedding.forward(ids))
-            .collect();
-        let cache = self
-            .lstm
-            .forward_sequence(&xs, &state.h, &state.c, transform);
-        state.h = cache.last_hp().clone();
-        state.c = cache.last_c().clone();
-        (0..cache.len()).map(|t| cache.hp(t).clone()).collect()
-    }
-}
-
-impl Parameterized for WordLm {
-    fn visit_params(&mut self, visitor: &mut dyn ParamVisitor) {
-        self.embedding.visit_params(visitor);
-        self.lstm.visit_params(visitor);
-        self.head.visit_params(visitor);
-    }
-}
-
-/// Tensor contract: `embedding.table` (`vocab × emb`), `lstm.wx`
-/// (`emb × 4dh`), `lstm.wh` (`dh × 4dh`), `lstm.b` (`4dh`), `linear.w`
-/// (`dh × vocab`), `linear.b` (`vocab`).
-impl crate::Freezable for WordLm {}
+pub type WordLm = Lm<Embedded, LstmLayer>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lstm::IdentityTransform;
-    use crate::optim::{GradClip, Optimizer, Sgd};
-
-    #[test]
-    fn eval_loss_near_uniform_at_init() {
-        let mut rng = SeedableStream::new(1);
-        let model = WordLm::new(50, 8, 10, 0.5, &mut rng);
-        let inputs = vec![vec![0usize, 1], vec![2, 3]];
-        let targets = vec![vec![4usize, 5], vec![6, 7]];
-        let mut state = CarryState::zeros(2, 10);
-        let stats = model.eval_batch(&inputs, &targets, &mut state, &IdentityTransform);
-        assert!((stats.mean_nats - (50.0f32).ln()).abs() < 0.5);
-    }
-
-    #[test]
-    fn training_with_sgd_and_clip_learns_repetition() {
-        let mut rng = SeedableStream::new(2);
-        let mut model = WordLm::new(12, 8, 16, 0.0, &mut rng);
-        let inputs: Vec<Vec<usize>> = (0..6).map(|t| vec![t % 12, (t + 3) % 12]).collect();
-        let targets = inputs.clone();
-        let mut opt = Sgd::new(0.5);
-        let clip = GradClip::new(5.0);
-        let mut drop_rng = SeedableStream::new(3);
-        let mut first = None;
-        let mut last = 0.0;
-        for _ in 0..80 {
-            let mut state = CarryState::zeros(2, 16);
-            model.zero_grads();
-            let stats = model.train_batch(
-                &inputs,
-                &targets,
-                &mut state,
-                &IdentityTransform,
-                &mut drop_rng,
-            );
-            clip.apply(&mut model);
-            opt.step(&mut model);
-            first.get_or_insert(stats.mean_nats);
-            last = stats.mean_nats;
-        }
-        assert!(last < first.unwrap() * 0.6, "first {first:?} last {last}");
-    }
+    use crate::params::Parameterized;
+    use zskip_tensor::SeedableStream;
 
     #[test]
     fn param_count_includes_all_layers() {

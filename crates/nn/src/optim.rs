@@ -17,6 +17,17 @@ pub trait Optimizer {
 
     /// Overrides the learning rate (used by decay schedules).
     fn set_learning_rate(&mut self, lr: f32);
+
+    /// Divides the learning rate by `factor` (the paper's "learning decay
+    /// factor of 1.2").
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor <= 0`.
+    fn decay(&mut self, factor: f32) {
+        assert!(factor > 0.0, "decay factor must be positive");
+        self.set_learning_rate(self.learning_rate() / factor);
+    }
 }
 
 /// Global-norm gradient clipping.
@@ -85,17 +96,6 @@ impl Sgd {
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         Self { lr }
-    }
-
-    /// Divides the learning rate by `factor` (the paper's "learning decay
-    /// factor of 1.2").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor <= 0`.
-    pub fn decay(&mut self, factor: f32) {
-        assert!(factor > 0.0, "decay factor must be positive");
-        self.lr /= factor;
     }
 }
 

@@ -1,6 +1,6 @@
 //! Parameter traversal.
 //!
-//! Optimizers, gradient clipping and checkpointing all need to walk every
+//! Optimizers, gradient clipping and freezing all need to walk every
 //! `(parameter, gradient)` pair of a model without knowing its structure.
 //! Models implement [`Parameterized`]; consumers implement [`ParamVisitor`]
 //! and are handed each pair along with a stable name (used by stateful

@@ -7,9 +7,10 @@
 //! applies to every recurrent path and the inter-layer traffic is sparse
 //! too — exactly how the hardware would want it.
 
-use crate::lstm::{LstmLayer, SequenceCache, StateTransform};
+use crate::gates::SequenceCache;
+use crate::lstm::{LstmLayer, StateTransform};
+use crate::models::{CarryState, Recurrent};
 use crate::params::{ParamVisitor, Parameterized};
-use serde::{Deserialize, Serialize};
 use zskip_tensor::{Matrix, SeedableStream};
 
 /// A stack of LSTM layers sharing one [`StateTransform`].
@@ -28,18 +29,9 @@ use zskip_tensor::{Matrix, SeedableStream};
 /// let caches = stack.forward_sequence(&xs, &states, &IdentityTransform);
 /// assert_eq!(caches.last().unwrap().last_hp().cols(), 6);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LstmStack {
     layers: Vec<LstmLayer>,
-}
-
-/// Initial `(h, c)` pair for one layer.
-#[derive(Clone, Debug)]
-pub struct LayerState {
-    /// Hidden state (`B × dh_l`).
-    pub h: Matrix,
-    /// Cell state (`B × dh_l`).
-    pub c: Matrix,
 }
 
 impl LstmStack {
@@ -71,13 +63,10 @@ impl LstmStack {
     }
 
     /// Zero initial states for every layer at batch size `b`.
-    pub fn zero_states(&self, b: usize) -> Vec<LayerState> {
+    pub fn zero_states(&self, b: usize) -> Vec<CarryState> {
         self.layers
             .iter()
-            .map(|l| LayerState {
-                h: Matrix::zeros(b, l.cell().hidden_dim()),
-                c: Matrix::zeros(b, l.cell().hidden_dim()),
-            })
+            .map(|l| CarryState::zeros(b, l.hidden_dim()))
             .collect()
     }
 
@@ -90,7 +79,7 @@ impl LstmStack {
     pub fn forward_sequence(
         &self,
         xs: &[Matrix],
-        states: &[LayerState],
+        states: &[CarryState],
         transform: &dyn StateTransform,
     ) -> Vec<SequenceCache> {
         assert_eq!(states.len(), self.depth(), "one state pair per layer");
@@ -98,7 +87,7 @@ impl LstmStack {
         let mut caches = Vec::with_capacity(self.depth());
         let mut layer_inputs: Vec<Matrix> = xs.to_vec();
         for (layer, state) in self.layers.iter().zip(states) {
-            let cache = layer.forward_sequence(&layer_inputs, &state.h, &state.c, transform);
+            let cache = layer.forward_sequence(&layer_inputs, state, transform);
             layer_inputs = (0..cache.len()).map(|t| cache.hp(t).clone()).collect();
             caches.push(cache);
         }
@@ -285,12 +274,7 @@ mod tests {
         let layer = LstmLayer::new(3, 6, &mut rng2);
         let xs = toy_inputs(3, 10);
         let caches = stack.forward_sequence(&xs, &stack.zero_states(2), &IdentityTransform);
-        let cache = layer.forward_sequence(
-            &xs,
-            &Matrix::zeros(2, 6),
-            &Matrix::zeros(2, 6),
-            &IdentityTransform,
-        );
+        let cache = layer.forward_sequence(&xs, &CarryState::zeros(2, 6), &IdentityTransform);
         assert_eq!(caches[0].last_hp(), cache.last_hp());
     }
 }

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use zskip_nn::loss::softmax_cross_entropy;
+use zskip_nn::models::{CarryState, Recurrent};
 use zskip_nn::{Dropout, IdentityTransform, LstmCell, LstmLayer, Parameterized};
 use zskip_tensor::{Matrix, SeedableStream};
 
@@ -59,14 +60,13 @@ proptest! {
         // Changing a later input must not change earlier states.
         let mut rng = SeedableStream::new(seed);
         let layer = LstmLayer::new(2, 4, &mut rng);
-        let h0 = Matrix::zeros(1, 4);
-        let c0 = Matrix::zeros(1, 4);
+        let state = CarryState::zeros(1, 4);
         let xs: Vec<Matrix> = (0..t_len).map(|t| batch(1, 2, 1.0, seed + t as u64)).collect();
-        let base = layer.forward_sequence(&xs, &h0, &c0, &IdentityTransform);
+        let base = layer.forward_sequence(&xs, &state, &IdentityTransform);
         let mut xs2 = xs.clone();
         let last = xs2.last_mut().expect("non-empty");
         *last = batch(1, 2, 2.0, seed ^ 0xFFFF);
-        let changed = layer.forward_sequence(&xs2, &h0, &c0, &IdentityTransform);
+        let changed = layer.forward_sequence(&xs2, &state, &IdentityTransform);
         for t in 0..t_len - 1 {
             prop_assert_eq!(base.hp(t), changed.hp(t), "step {} changed acausally", t);
         }
@@ -109,7 +109,7 @@ proptest! {
         let mut layer = LstmLayer::new(3, 5, &mut rng);
         // Accumulate something first.
         let xs = vec![batch(2, 3, 1.0, seed)];
-        let cache = layer.forward_sequence(&xs, &Matrix::zeros(2, 5), &Matrix::zeros(2, 5), &IdentityTransform);
+        let cache = layer.forward_sequence(&xs, &CarryState::zeros(2, 5), &IdentityTransform);
         let d = vec![Matrix::from_fn(2, 5, |_, _| 1.0)];
         layer.backward_sequence(&cache, &d, &IdentityTransform, false);
         prop_assert!(layer.grad_norm() > 0.0);
@@ -126,12 +126,11 @@ proptest! {
         let mut rng = SeedableStream::new(seed);
         let mut layer = LstmLayer::new(2, 3, &mut rng);
         let xs: Vec<Matrix> = (0..4).map(|t| batch(1, 2, 1.0, seed + 10 + t as u64)).collect();
-        let h0 = Matrix::zeros(1, 3);
-        let c0 = Matrix::zeros(1, 3);
+        let state = CarryState::zeros(1, 3);
 
         let grad_norm_with = |layer: &mut LstmLayer, steps: usize| -> f32 {
             layer.zero_grads();
-            let cache = layer.forward_sequence(&xs[..steps], &h0, &c0, &IdentityTransform);
+            let cache = layer.forward_sequence(&xs[..steps], &state, &IdentityTransform);
             let mut d: Vec<Matrix> = (0..steps).map(|_| Matrix::zeros(1, 3)).collect();
             *d.last_mut().expect("steps") = Matrix::from_fn(1, 3, |_, _| 1.0);
             layer.backward_sequence(&cache, &d, &IdentityTransform, false);

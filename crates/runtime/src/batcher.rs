@@ -42,9 +42,11 @@ pub struct SkipPolicy {
     /// Saturating runs force stored anchor columns, exactly as on the
     /// accelerator, and anchors are charged as fetched weight rows.
     pub offset_bits: u8,
-    /// Use the dense kernel when more than this fraction of columns is
-    /// active — below ~that point the sparse bookkeeping costs more than
-    /// it saves.
+    /// Use the dense kernel when at least this fraction of the `dh`
+    /// columns is active (`active >= dense_fallback · dh`) — around that
+    /// point the sparse bookkeeping costs more than it saves. So 0.0
+    /// always runs dense, 1.0 runs dense only when every column is
+    /// active, and any value above 1.0 never runs dense.
     pub dense_fallback: f64,
 }
 
@@ -427,5 +429,41 @@ mod tests {
         assert!(!stats.used_sparse_path);
         assert_eq!(stats.fetched_rows, 6);
         assert_eq!(stats.skip_fraction, 0.0);
+    }
+
+    #[test]
+    fn dense_fallback_is_inclusive_and_never_above_one() {
+        let mut rng = SeedableStream::new(6);
+        let mut model = CharLm::new(8, 6, &mut rng);
+        let frozen = FrozenCharLm::freeze(&mut model);
+        let half = StateLanes::from_fn(1, 6, |_, c| if c % 2 == 0 { 0.7 } else { 0.0 });
+        let full = StateLanes::from_fn(1, 6, |_, _| 0.7);
+        let c = StateLanes::zeros(1, 6);
+        // (state, live columns, dense_fallback, runs dense): 3 of 6 live
+        // at 0.5 sits exactly on the boundary.
+        for (h, live, dense_fallback, dense) in [
+            (&half, 3, 0.5, true),
+            (&half, 3, 2.0, false),
+            (&full, 6, 2.0, false),
+        ] {
+            let policy = SkipPolicy {
+                offset_bits: 8,
+                dense_fallback,
+            };
+            let batcher = DynamicBatcher::new(frozen.clone(), 0.0, policy);
+            let mut active = Vec::new();
+            batcher.skip_plan_into(h, &mut active);
+            assert_eq!(active.len(), live);
+            let step = BatchStep {
+                h,
+                c: &c,
+                inputs: &[0],
+            };
+            let stats = batcher.step_into(step, &mut StepScratch::new());
+            assert_eq!(
+                stats.used_sparse_path, !dense,
+                "{live} live, dense_fallback {dense_fallback}"
+            );
+        }
     }
 }

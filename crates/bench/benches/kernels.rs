@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the computational kernels: the quantized
 //! GEMV with and without zero skipping (the software analogue of the
-//! accelerator's gain), the i8 family's batched post-GEMM tail, state
-//! pruning, and the offset encoder.
+//! accelerator's gain), the f32 sparse-rows and dense-mode products, the
+//! i8 family's batched post-GEMM tail, state pruning, and the offset
+//! encoder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -68,6 +69,79 @@ fn bench_sparse_rows(c: &mut Criterion) {
         }
         group.finish();
     }
+}
+
+/// A `lanes × rows` state with a fraction `density` of non-zero
+/// coefficients. `joint`: the zeros are column-joint — in each 64-row
+/// chunk exactly `round(64 · density)` rows, spread evenly, are non-zero
+/// in every lane and the rest zero in every lane. Otherwise each
+/// coefficient is non-zero by its own coin, so the zeros differ per lane.
+fn state_with_fill(lanes: usize, rows: usize, density: f64, joint: bool, seed: u64) -> Matrix {
+    let mut rng = SeedableStream::new(seed);
+    let kept = |r: usize| {
+        let (i, d) = ((r % 64) as f64, density);
+        ((i + 1.0) * d).round() > (i * d).round()
+    };
+    Matrix::from_fn(lanes, rows, |_, r| {
+        let on = if joint { kept(r) } else { rng.coin(density) };
+        if on {
+            rng.uniform(0.1, 1.0)
+        } else {
+            0.0
+        }
+    })
+}
+
+/// `h · w` into a carried output, as the runtime's step scratch does.
+fn dense_into(h: &Matrix, w: &Matrix, out: &mut Matrix) {
+    Matrix::matmul_from_rows_into(black_box(h.as_slice()), h.rows(), w, out);
+    black_box(out);
+}
+
+fn bench_matmul_dense(c: &mut Criterion) {
+    // The dense-mode f32 product (`Matrix::matmul`, the runtime's
+    // dense-fallback recurrent GEMM and its f32 head): the recurrent
+    // shape (`dh = 512`, `Wh` 512 × 2048) and the head shape (512 × 64,
+    // vocabulary 64) at 1, 4 and 16 lanes on unpruned states. Then two
+    // sweeps over the coefficient fill that routes each 64-row chunk to
+    // the register tile or the lane-outer loop: `_joint` with
+    // column-joint zeros (the pruned states the runtime serves) and
+    // `_fill` with zeros that differ per lane (threshold-pruned training
+    // states), where the tile does work for every lane of a kept row.
+    let dh = 512;
+    let mut out = Matrix::zeros(0, 0);
+    let mut group = c.benchmark_group("matmul_dense");
+    let mut case = |id: BenchmarkId, h: Matrix, w: &Matrix| {
+        group.bench_with_input(id, &h, |b, h| b.iter(|| dense_into(h, w, &mut out)));
+    };
+    for cols in [4 * dh, 64] {
+        let w = Matrix::from_fn(dh, cols, |r, k| ((r * 13 + k * 7) as f32 * 0.001).sin());
+        let shape = format!("{dh}x{cols}");
+        for lanes in [1usize, 4, 16] {
+            let h = state_with_fill(lanes, dh, 1.0, true, 5);
+            case(BenchmarkId::new(&shape, format!("b{lanes}")), h, &w);
+        }
+        for density in [0.10f64, 0.25, 0.50, 0.75, 1.0] {
+            let h = state_with_fill(16, dh, density, true, 6);
+            let pct = format!("{:.0}%", density * 100.0);
+            case(BenchmarkId::new(format!("{shape}_b16_joint"), pct), h, &w);
+        }
+        if cols == 64 {
+            continue;
+        }
+        for lanes in [4usize, 16] {
+            for density in [0.50f64, 0.60, 0.75, 0.90] {
+                let h = state_with_fill(lanes, dh, density, false, 7);
+                let pct = format!("{:.0}%", density * 100.0);
+                case(
+                    BenchmarkId::new(format!("{shape}_b{lanes}_fill"), pct),
+                    h,
+                    &w,
+                );
+            }
+        }
+    }
+    group.finish();
 }
 
 fn bench_quantized_pointwise(c: &mut Criterion) {
@@ -143,6 +217,7 @@ criterion_group!(
     benches,
     bench_gemv_skip,
     bench_sparse_rows,
+    bench_matmul_dense,
     bench_quantized_pointwise,
     bench_prune,
     bench_encoder,

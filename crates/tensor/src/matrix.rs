@@ -207,13 +207,22 @@ impl Matrix {
     /// buffers step through here without a copy.
     ///
     /// On x86-64 with AVX2 (runtime-detected, unless vetoed by
-    /// `ZSKIP_FORCE_PORTABLE` — see [`crate::simd`]) the accumulation
-    /// runs 8 output columns per instruction. The result is
-    /// **bit-identical** to the portable body: each output element
-    /// receives the same additions in the same increasing-`k` order, one
-    /// `mul` + `add` at a time (no FMA contraction — intrinsics are
-    /// never contracted), and vectorizing across *columns* touches
-    /// independent output elements only.
+    /// `ZSKIP_FORCE_PORTABLE` — see [`crate::simd`]) each 64-row chunk of
+    /// `rhs` picks one of two bodies from its coefficient fill, the
+    /// paper's dense/sparse mode split made per chunk: a chunk with at
+    /// least 3/4 of its `m × 64` coefficients non-zero runs a register
+    /// tile (8 lanes × 8 columns of accumulators held in ymm registers
+    /// over the chunk, so each weight-row segment is loaded once per
+    /// 8-lane block and each output stored once per chunk); a sparser one
+    /// keeps the lane-outer loop, which fetches only each lane's own
+    /// non-zero rows. The result is **bit-identical** to the portable
+    /// body either way: each output element receives the same additions
+    /// in the same increasing-`k` order, one `mul` + `add` at a time (no
+    /// FMA contraction — intrinsics are never contracted). Where the tile
+    /// multiplies a lane's ±0 coefficient in instead of skipping it, the
+    /// ±0 product cannot change an accumulator that started at +0, and a
+    /// tile that meets ±inf or NaN weights is redone with those products
+    /// masked to +0.
     ///
     /// # Panics
     ///
@@ -574,14 +583,51 @@ impl Matrix {
     }
 }
 
-/// AVX2 twins of the f32 GEMM kernels. Both mirror their portable body's
-/// structure exactly — the same 64-row chunking, the same zero-coefficient
-/// filtering, the same four-rows-per-pass blocking — and differ only in
-/// running 8 output columns per instruction. Each output element receives
-/// its additions in the identical increasing-`k` order, one
-/// `_mm256_mul_ps` + `_mm256_add_ps` pair at a time (intrinsics are never
-/// FMA-contracted), so the results are bit-identical to the portable
-/// bodies; the proptests in `tests/proptests.rs` pin the pair together.
+/// Coefficient fill at or above which a 64-row chunk of the dense product
+/// runs the register-tiled body, as `(num, den)`: at least `num / den` of
+/// the chunk's `lanes × rows` coefficients are non-zero. Below it the
+/// chunk keeps the lane-outer loop — the paper's dense/sparse mode split,
+/// made per chunk.
+///
+/// The tile does one multiply-add per lane for every row kept by some lane
+/// of its block, while the lane-outer loop does one per non-zero
+/// coefficient but streams the weights once per lane. On column-joint
+/// zeros (an unpruned batch, or a pruned state whose dead units are dead
+/// in every lane) the fill is the joint density; on zeros that differ per
+/// lane it is the per-lane density, and there the tile only pays from
+/// about 2/3 up. Read off the `matmul_dense` sweeps in
+/// `crates/bench/benches/kernels.rs` (see `docs/BENCH_RESULTS.md`).
+#[cfg(target_arch = "x86_64")]
+const TILED_MIN_FILL: (usize, usize) = (3, 4);
+
+/// AVX2 twins of the f32 GEMM kernels, each bit-identical to its portable
+/// body; the proptests below pin every pair together.
+///
+/// The sparse twin and the dense twin's sparse-mode chunks mirror the
+/// portable structure exactly — the same 64-row chunking, the same
+/// zero-coefficient filtering, four weight rows per pass over one lane's
+/// output row — and differ only in running 8 output columns per
+/// instruction.
+///
+/// The dense twin's dense-mode chunks (see [`TILED_MIN_FILL`]) run a
+/// register tile instead: a block of 8 lanes (4, 2, 1 for the remainder,
+/// with 2, 4, 8 column strips so a tile always holds 8 accumulators) × a
+/// strip of 8 columns keeps its accumulators in ymm registers across the
+/// whole chunk, loads each `Wh` row segment once per block and stores each
+/// output once per chunk. The bits stay the portable body's:
+///
+/// - every element still receives one `_mm256_mul_ps` then one
+///   `_mm256_add_ps` per term, in increasing `k`, starting from the +0
+///   that [`Matrix::resize`] writes (intrinsics are never FMA-contracted);
+/// - a row that is zero in every lane of the block is dropped, as the
+///   portable loop drops it;
+/// - in a kept row, a lane whose coefficient is ±0 adds `±0 · w`. An
+///   accumulator that starts at +0 can never become −0 (a sum is −0 only
+///   if both addends are), so for finite `w` that ±0 leaves it unchanged —
+///   exactly the skipped term. A tile that meets ±inf or NaN (where
+///   `0 · w` is NaN) ends non-finite, and is then recomputed with each
+///   zero coefficient's product ANDed to +0, so non-finite weights behind
+///   zero coefficients still match the skipping portable loop.
 #[cfg(target_arch = "x86_64")]
 impl Matrix {
     #[target_feature(enable = "avx2")]
@@ -592,6 +638,10 @@ impl Matrix {
         let mut brow = [0usize; KB];
         for k0 in (0..k).step_by(KB) {
             let k1 = (k0 + KB).min(k);
+            if Self::chunk_is_dense(lhs, m, k, k0, k1) {
+                Self::tiled_chunk_avx2(lhs, m, rhs, k0, k1, out);
+                continue;
+            }
             for i in 0..m {
                 let a_row = &lhs[i * k..(i + 1) * k];
                 let out_row = &mut out[i * n..(i + 1) * n];
@@ -605,6 +655,266 @@ impl Matrix {
                 }
                 Self::accumulate_rows_f32_avx2(&rhs.data, n, &coeff[..cnt], &brow[..cnt], out_row);
             }
+        }
+    }
+
+    /// Whether rows `k0..k1` of the `m` lanes of `lhs` (`m × k`, row-major)
+    /// are in dense mode (see [`TILED_MIN_FILL`]). Counts lane by lane and
+    /// stops as soon as the verdict is settled either way. NaN counts as
+    /// non-zero and ±0 as zero, as in the portable body's `a == 0.0` skip.
+    #[target_feature(enable = "avx2")]
+    fn chunk_is_dense(lhs: &[f32], m: usize, k: usize, k0: usize, k1: usize) -> bool {
+        use std::arch::x86_64::*;
+        let (num, den) = TILED_MIN_FILL;
+        let rows = k1 - k0;
+        let need = (m * rows * num).div_ceil(den);
+        let mut nnz = 0usize;
+        for i in 0..m {
+            let mut groups = lhs[i * k + k0..i * k + k1].chunks_exact(8);
+            for g in &mut groups {
+                // SAFETY: `g` holds exactly 8 elements.
+                let v = unsafe { _mm256_loadu_ps(g.as_ptr()) };
+                let nz = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps());
+                nnz += _mm256_movemask_ps(nz).count_ones() as usize;
+            }
+            nnz += groups.remainder().iter().filter(|&&a| a != 0.0).count();
+            if nnz >= need {
+                return true;
+            }
+            if nnz + (m - 1 - i) * rows < need {
+                return false;
+            }
+        }
+        need == 0
+    }
+
+    /// One dense-mode chunk (rows `k0..k1` of `rhs`) for every lane: blocks
+    /// of 8 lanes, then 4, 2 and 1 for the remainder.
+    #[target_feature(enable = "avx2")]
+    fn tiled_chunk_avx2(
+        lhs: &[f32],
+        m: usize,
+        rhs: &Matrix,
+        k0: usize,
+        k1: usize,
+        out: &mut [f32],
+    ) {
+        let mut i0 = 0usize;
+        while i0 < m {
+            i0 += match m - i0 {
+                8.. => Self::tile_block_avx2::<8, 1>(lhs, i0, rhs, k0, k1, out),
+                4..=7 => Self::tile_block_avx2::<4, 2>(lhs, i0, rhs, k0, k1, out),
+                2..=3 => Self::tile_block_avx2::<2, 4>(lhs, i0, rhs, k0, k1, out),
+                _ => Self::tile_block_avx2::<1, 8>(lhs, i0, rhs, k0, k1, out),
+            };
+        }
+    }
+
+    /// Lanes `i0..i0 + L` over rows `k0..k1` (`<= 64`) of `rhs`: gathers the
+    /// block's kept rows (non-zero in some lane of the block) with their
+    /// `L` coefficients and zero masks, then runs the strips `S` at a time
+    /// (see [`Self::tile_strips_avx2`]). Returns `L`.
+    #[target_feature(enable = "avx2")]
+    fn tile_block_avx2<const L: usize, const S: usize>(
+        lhs: &[f32],
+        i0: usize,
+        rhs: &Matrix,
+        k0: usize,
+        k1: usize,
+        out: &mut [f32],
+    ) -> usize {
+        const KB: usize = 64;
+        let (k, n) = (rhs.rows, rhs.cols);
+        let mut coeff = [[0.0f32; L]; KB];
+        let mut keep = [[0u32; L]; KB];
+        let mut brow = [0usize; KB];
+        let (mut cnt, mut any_zero) = (0usize, false);
+        for kk in k0..k1 {
+            let a: [f32; L] = std::array::from_fn(|l| lhs[(i0 + l) * k + kk]);
+            if a.iter().all(|&x| x == 0.0) {
+                continue;
+            }
+            any_zero |= a.contains(&0.0);
+            coeff[cnt] = a;
+            keep[cnt] = a.map(|x| if x != 0.0 { u32::MAX } else { 0 });
+            brow[cnt] = kk;
+            cnt += 1;
+        }
+        let out = &mut out[i0 * n..(i0 + L) * n];
+        let (coeff, keep, brow) = (&coeff[..cnt], &keep[..cnt], &brow[..cnt]);
+        if any_zero {
+            Self::tile_strips_avx2::<L, S, true>(&rhs.data, n, coeff, keep, brow, out);
+        } else {
+            Self::tile_strips_avx2::<L, S, false>(&rhs.data, n, coeff, keep, brow, out);
+        }
+        L
+    }
+
+    /// `out[l·n + c] += Σ_p coeff[p][l] · data[rows[p]·n + c]` for the `L`
+    /// output rows of a block: `L × S` register tiles of 8-column strips
+    /// (`L · S == 8` accumulators, so a narrow block still has 8
+    /// independent add chains in flight), then single strips, then a scalar
+    /// column tail that skips zero coefficients as the portable body does.
+    /// `MASKED` ANDs each product with `keep[p][l]` (all ones, or +0 for a
+    /// ±0 coefficient).
+    ///
+    /// Invariants: `coeff`, `keep` and `rows` have one entry per kept row;
+    /// `out.len() == L · n` and every `(rows[p] + 1) · n <= data.len()` are
+    /// asserted, since the unsafe tile loads rely on them.
+    #[target_feature(enable = "avx2")]
+    fn tile_strips_avx2<const L: usize, const S: usize, const MASKED: bool>(
+        data: &[f32],
+        n: usize,
+        coeff: &[[f32; L]],
+        keep: &[[u32; L]],
+        rows: &[usize],
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), L * n, "output block length mismatch");
+        assert!(
+            rows.iter().all(|&r| (r + 1) * n <= data.len()),
+            "weight row out of bounds"
+        );
+        let mut c = 0usize;
+        while c + 8 * S <= n {
+            // SAFETY: AVX2 is enabled here; `c + 8·S <= n` keeps the tile's
+            // columns inside each of the `L` output rows and each weight row
+            // (both bounds asserted above).
+            unsafe {
+                let (w, o) = (data.as_ptr().add(c), out.as_mut_ptr().add(c));
+                Self::tile_avx2::<L, S, MASKED>(w, n, coeff, keep, rows, o);
+            }
+            c += 8 * S;
+        }
+        while c + 8 <= n {
+            // SAFETY: as above, with `c + 8 <= n` for a single strip.
+            unsafe {
+                let (w, o) = (data.as_ptr().add(c), out.as_mut_ptr().add(c));
+                Self::tile_avx2::<L, 1, MASKED>(w, n, coeff, keep, rows, o);
+            }
+            c += 8;
+        }
+        if c < n {
+            for l in 0..L {
+                let out_row = &mut out[l * n + c..(l + 1) * n];
+                for (&r, a) in rows.iter().zip(coeff) {
+                    let a = a[l];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, b) in out_row.iter_mut().zip(&data[r * n + c..(r + 1) * n]) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One `L`-lane × `S`-strip tile: loads the `L · S` accumulators from
+    /// `out` (row stride `n`), adds every kept row's products in order, and
+    /// stores them back once.
+    ///
+    /// With `MASKED` (the block has a ±0 coefficient) the products go in
+    /// unmasked all the same: `±0 · w` is ±0 for finite `w`, which leaves
+    /// the accumulator unchanged. Only a non-finite `w` would differ, and
+    /// a non-finite product makes its accumulator non-finite for good
+    /// (`inf + x` is inf or NaN, `NaN + x` is NaN). So a tile that ends
+    /// finite took no such product, and one that does not is recomputed
+    /// from `out` by [`Self::masked_tile_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; `out.add(l·n + j)` for `l < L`, `j < 8·S`
+    /// must be valid for reads and writes, and `w.add(rows[p]·n + j)` for
+    /// every `p`, `j < 8·S` valid for reads.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile_avx2<const L: usize, const S: usize, const MASKED: bool>(
+        w: *const f32,
+        n: usize,
+        coeff: &[[f32; L]],
+        keep: &[[u32; L]],
+        rows: &[usize],
+        out: *mut f32,
+    ) {
+        use std::arch::x86_64::*;
+        // SAFETY: every pointer offset below is one the caller vouches for,
+        // and so is the call to the masked twin.
+        unsafe {
+            let mut acc: [[__m256; S]; L] = std::array::from_fn(|l| {
+                std::array::from_fn(|s| _mm256_loadu_ps(out.add(l * n + 8 * s)))
+            });
+            for (&r, a) in rows.iter().zip(coeff) {
+                let row = w.add(r * n);
+                let b: [__m256; S] = std::array::from_fn(|s| _mm256_loadu_ps(row.add(8 * s)));
+                for l in 0..L {
+                    let va = _mm256_set1_ps(a[l]);
+                    for s in 0..S {
+                        acc[l][s] = _mm256_add_ps(acc[l][s], _mm256_mul_ps(va, b[s]));
+                    }
+                }
+            }
+            if MASKED && Self::any_non_finite(acc.as_flattened()) {
+                acc = Self::masked_tile_avx2(w, n, coeff, keep, rows, out);
+            }
+            for (l, acc) in acc.iter().enumerate() {
+                for (s, a) in acc.iter().enumerate() {
+                    _mm256_storeu_ps(out.add(l * n + 8 * s), *a);
+                }
+            }
+        }
+    }
+
+    /// Whether any lane of `v` is ±inf or NaN (`x - x` is NaN exactly
+    /// there).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn any_non_finite(v: &[std::arch::x86_64::__m256]) -> bool {
+        use std::arch::x86_64::*;
+        let bad = v.iter().fold(_mm256_setzero_ps(), |bad, &x| {
+            let d = _mm256_sub_ps(x, x);
+            _mm256_or_ps(bad, _mm256_cmp_ps::<_CMP_UNORD_Q>(d, d))
+        });
+        _mm256_testz_ps(bad, bad) == 0
+    }
+
+    /// [`Self::tile_avx2`]'s accumulators recomputed from `out` with each
+    /// product ANDed with its lane's `keep` mask, so a ±0 coefficient adds
+    /// +0 where `0 · inf` would add NaN; returns them unstored. Out of
+    /// line: only tiles that meet ±inf or NaN get here.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::tile_avx2`], except that `out` is only read.
+    #[target_feature(enable = "avx2")]
+    #[cold]
+    #[inline(never)]
+    unsafe fn masked_tile_avx2<const L: usize, const S: usize>(
+        w: *const f32,
+        n: usize,
+        coeff: &[[f32; L]],
+        keep: &[[u32; L]],
+        rows: &[usize],
+        out: *const f32,
+    ) -> [[std::arch::x86_64::__m256; S]; L] {
+        use std::arch::x86_64::*;
+        // SAFETY: every pointer offset below is one the caller vouches for.
+        unsafe {
+            let mut acc: [[__m256; S]; L] = std::array::from_fn(|l| {
+                std::array::from_fn(|s| _mm256_loadu_ps(out.add(l * n + 8 * s)))
+            });
+            for ((&r, a), kp) in rows.iter().zip(coeff).zip(keep) {
+                let row = w.add(r * n);
+                for l in 0..L {
+                    let va = _mm256_set1_ps(a[l]);
+                    let vk = _mm256_castsi256_ps(_mm256_set1_epi32(kp[l] as i32));
+                    for (s, acc) in acc[l].iter_mut().enumerate() {
+                        let prod = _mm256_mul_ps(va, _mm256_loadu_ps(row.add(8 * s)));
+                        *acc = _mm256_add_ps(*acc, _mm256_and_ps(prod, vk));
+                    }
+                }
+            }
+            acc
         }
     }
 
@@ -956,14 +1266,19 @@ mod dispatch_pin {
         })
     }
 
-    fn masked_lhs(m: usize, k: usize, sparsity: f64, seed: u64) -> Vec<f32> {
+    /// A seeded LCG yielding 31-bit draws.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = || {
+        move || {
             s = s
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             s >> 33
-        };
+        }
+    }
+
+    fn masked_lhs(m: usize, k: usize, sparsity: f64, seed: u64) -> Vec<f32> {
+        let mut next = lcg(seed);
         // Column-correlated zeros, like a jointly pruned batch.
         let zero_col: Vec<bool> = (0..k)
             .map(|_| (next() & 0xFFFF) as f64 / 65536.0 < sparsity)
@@ -979,7 +1294,129 @@ mod dispatch_pin {
             .collect()
     }
 
+    /// An `m × k` state whose 64-row chunks fall on both sides of the
+    /// dense-mode rule: each chunk keeps a uniformly drawn number of rows
+    /// (non-zero in at least one lane), and in a kept row every other lane
+    /// is zero with probability `lane_zero`. A zero is `−0` with
+    /// probability `neg_zero`, else `+0`.
+    fn straddling_lhs(m: usize, k: usize, lane_zero: f64, neg_zero: f64, seed: u64) -> Vec<f32> {
+        let mut next = lcg(seed);
+        let zero = |next: &mut dyn FnMut() -> u64| {
+            if ((next() & 0xFFFF) as f64) < neg_zero * 65536.0 {
+                -0.0
+            } else {
+                0.0
+            }
+        };
+        let mut lhs = vec![0.0f32; m * k];
+        for k0 in (0..k).step_by(64) {
+            let mut rows: Vec<usize> = (k0..(k0 + 64).min(k)).collect();
+            let kept = next() as usize % (rows.len() + 1);
+            for j in 0..rows.len() {
+                let pick = j + next() as usize % (rows.len() - j);
+                rows.swap(j, pick);
+            }
+            for (j, &r) in rows.iter().enumerate() {
+                let anchor = next() as usize % m;
+                for l in 0..m {
+                    let nonzero = j < kept
+                        && (l == anchor || (next() & 0xFFFF) as f64 / 65536.0 >= lane_zero);
+                    lhs[l * k + r] = if nonzero {
+                        (next() as f32 * 0.37).sin() + 2.0
+                    } else {
+                        zero(&mut next)
+                    };
+                }
+            }
+        }
+        lhs
+    }
+
+    /// A `k × n` weight matrix in which a quarter of the rows that are
+    /// zero in some lane of `lhs` carry ±inf and NaN in every third
+    /// column: a body that multiplied a zero coefficient in would turn a
+    /// finite output of that lane into NaN. The other columns stay finite.
+    fn poisoned_rhs(lhs: &[f32], m: usize, k: usize, n: usize, seed: u64) -> Matrix {
+        let mut next = lcg(seed ^ 0x5EED);
+        let poisoned: Vec<bool> = (0..k)
+            .map(|r| next().is_multiple_of(4) && (0..m).any(|l| lhs[l * k + r] == 0.0))
+            .collect();
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        Matrix::from_fn(k, n, |r, c| {
+            if poisoned[r] && c % 3 == 0 {
+                specials[(r + c) % 3]
+            } else {
+                ((r * n + c) as f32 * 0.13).sin()
+            }
+        })
+    }
+
+    /// The dense/sparse mode split on the states the runtime feeds it: an
+    /// unpruned batch tiles; a pruned state with ~6 of 64 units alive in
+    /// every lane (the f32 head on the sparse serving paths) and a state
+    /// whose zeros differ per lane keep the lane-outer loop; the 3/4 fill
+    /// boundary is inclusive.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn dense_mode_follows_the_coefficient_fill() {
+        if !crate::simd::use_avx2() {
+            return;
+        }
+        let dense = |lhs: &[f32], m: usize| {
+            // SAFETY: AVX2 was detected just above.
+            unsafe { Matrix::chunk_is_dense(lhs, m, 64, 0, 64) }
+        };
+        let state = |m: usize, alive: &dyn Fn(usize, usize) -> bool| -> Vec<f32> {
+            (0..m * 64)
+                .map(|i| if alive(i / 64, i % 64) { 0.5 } else { -0.0 })
+                .collect()
+        };
+        assert!(dense(&state(16, &|_, _| true), 16));
+        assert!(!dense(&state(16, &|_, r| r % 10 == 3), 16));
+        assert!(!dense(&state(16, &|l, r| (l + r) % 2 == 0), 16));
+        assert!(dense(&state(1, &|_, r| r < 48), 1));
+        assert!(!dense(&state(1, &|_, r| r < 47), 1));
+        let mut nan = state(1, &|_, r| r < 47);
+        nan[63] = f32::NAN;
+        assert!(dense(&nan, 1));
+    }
+
     proptest! {
+        /// The register-tiled dense-mode body (and the lane-outer chunks
+        /// beside it): every block remainder (`m` up to 17), several
+        /// 8-column strips plus a scalar tail, per-lane and joint zeros of
+        /// both signs, and non-finite weights behind zero coefficients.
+        #[test]
+        fn tiled_dense_kernel_matches_portable_bitwise(
+            m in 1usize..18,
+            k in 1usize..200,
+            strips in 8usize..20,
+            tail in 1usize..8,
+            lane_zero in 0.0f64..1.0,
+            neg_zero in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let n = 8 * strips + tail;
+            // All +0, mixed, or all −0: a body that took −0 for a non-zero
+            // must meet a block whose every zero is −0.
+            let lhs = straddling_lhs(m, k, lane_zero, neg_zero as f64 / 2.0, seed);
+            let rhs = poisoned_rhs(&lhs, m, k, n, seed);
+            let dispatched = into_carried(|out| Matrix::matmul_from_rows_into(&lhs, m, &rhs, out));
+            let mut portable = Matrix::zeros(m, n);
+            Matrix::matmul_rows_portable(&lhs, m, &rhs, portable.as_mut_slice());
+            prop_assert_eq!((dispatched.rows(), dispatched.cols()), (m, n));
+            for (a, b) in dispatched.as_slice().iter().zip(portable.as_slice()) {
+                // A NaN's sign and payload are not specified by Rust's float
+                // semantics (LLVM may commute `a + b` when both are NaN), so
+                // a NaN only has to meet a NaN; every other value its bits.
+                if b.is_nan() {
+                    prop_assert!(a.is_nan(), "{} vs NaN", a);
+                } else {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
+                }
+            }
+        }
+
         #[test]
         fn dense_kernel_matches_portable_bitwise(
             m in 1usize..5,

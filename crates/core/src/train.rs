@@ -120,7 +120,8 @@ where
 /// Evaluates a trained language model over every window of `test`
 /// (stateful, from a zero state): the accumulated metric, and the mean
 /// state sparsity of the first two windows' traces. Each traced window
-/// is replayed from the state its evaluation ended in.
+/// is replayed from a copy of the state its evaluation starts from, so
+/// the trace is the trajectory the evaluation runs.
 pub fn eval_lm<E, R>(
     model: &Lm<E, R>,
     mut test: BpttBatcher,
@@ -135,12 +136,12 @@ where
     let mut trace: Vec<Matrix> = Vec::new();
     for window_idx in 0.. {
         let Some(w) = test.next_window() else { break };
-        let stats = model.eval_batch(&w.inputs, &w.targets, &mut state, transform);
-        acc.add(stats.mean_nats, stats.tokens, stats.correct);
         if window_idx < 2 {
             let mut probe = state.clone();
             trace.extend(model.state_trace(&w.inputs, &mut probe, transform));
         }
+        let stats = model.eval_batch(&w.inputs, &w.targets, &mut state, transform);
+        acc.add(stats.mean_nats, stats.tokens, stats.correct);
     }
     (acc, sparsity::mean_sparsity(&trace))
 }

@@ -59,7 +59,6 @@ pub mod metrics;
 pub mod models;
 pub mod optim;
 pub mod params;
-pub mod stack;
 
 pub use dropout::{Dropout, DropoutMask};
 pub use embedding::Embedding;

@@ -107,7 +107,7 @@ fn bench_matmul_dense(c: &mut Criterion) {
     // the register tile or the lane-outer loop: `_joint` with
     // column-joint zeros (the pruned states the runtime serves) and
     // `_fill` with zeros that differ per lane (threshold-pruned training
-    // states), where the tile does work for every lane of a kept row.
+    // states), whose 8-lane blocks fall back to the lane-outer loop.
     let dh = 512;
     let mut out = Matrix::zeros(0, 0);
     let mut group = c.benchmark_group("matmul_dense");

@@ -215,14 +215,13 @@ impl Matrix {
     /// over the chunk, so each weight-row segment is loaded once per
     /// 8-lane block and each output stored once per chunk); a sparser one
     /// keeps the lane-outer loop, which fetches only each lane's own
-    /// non-zero rows. The result is **bit-identical** to the portable
-    /// body either way: each output element receives the same additions
-    /// in the same increasing-`k` order, one `mul` + `add` at a time (no
-    /// FMA contraction — intrinsics are never contracted). Where the tile
-    /// multiplies a lane's ±0 coefficient in instead of skipping it, the
-    /// ±0 product cannot change an accumulator that started at +0, and a
-    /// tile that meets ±inf or NaN weights is redone with those products
-    /// masked to +0.
+    /// non-zero rows. A block whose kept rows hold a zero in some lane, and
+    /// a lone remainder lane, run the lane-outer loop too, so the tile
+    /// never multiplies a coefficient the portable body skips. The result
+    /// is **bit-identical** to the portable body either way: each output
+    /// element receives the same additions in the same increasing-`k`
+    /// order, one `mul` + `add` at a time (no FMA contraction — intrinsics
+    /// are never contracted).
     ///
     /// # Panics
     ///
@@ -589,29 +588,30 @@ impl Matrix {
 /// chunk keeps the lane-outer loop — the paper's dense/sparse mode split,
 /// made per chunk.
 ///
-/// The tile does one multiply-add per lane for every row kept by some lane
-/// of its block, while the lane-outer loop does one per non-zero
-/// coefficient but streams the weights once per lane. On column-joint
-/// zeros (an unpruned batch, or a pruned state whose dead units are dead
-/// in every lane) the fill is the joint density; on zeros that differ per
-/// lane it is the per-lane density, and there the tile only pays from
-/// about 2/3 up. Read off the `matmul_dense` sweeps in
-/// `crates/bench/benches/kernels.rs` (see `docs/BENCH_RESULTS.md`).
+/// On column-joint zeros (an unpruned batch, or a pruned state whose dead
+/// units are dead in every lane) the fill is the joint density, and there
+/// the `matmul_dense` `_joint` sweeps in `crates/bench/benches/kernels.rs`
+/// show the tile ahead of the lane-outer loop at every fill measured, down
+/// to 10%. Zeros that differ per lane never tile: a block holding one runs
+/// the lane-outer loop whatever the fill. So the constant is set high on
+/// purpose, to keep the f32 head's pruned input on the sparse serving
+/// paths (~6 of 64 units alive) on the lane-outer loop; see
+/// `docs/BENCH_RESULTS.md` and ROADMAP items 1(e) and 2.
 #[cfg(target_arch = "x86_64")]
 const TILED_MIN_FILL: (usize, usize) = (3, 4);
 
 /// AVX2 twins of the f32 GEMM kernels, each bit-identical to its portable
 /// body; the proptests below pin every pair together.
 ///
-/// The sparse twin and the dense twin's sparse-mode chunks mirror the
+/// The sparse twin and the dense twin's lane-outer chunks mirror the
 /// portable structure exactly — the same 64-row chunking, the same
 /// zero-coefficient filtering, four weight rows per pass over one lane's
 /// output row — and differ only in running 8 output columns per
 /// instruction.
 ///
 /// The dense twin's dense-mode chunks (see [`TILED_MIN_FILL`]) run a
-/// register tile instead: a block of 8 lanes (4, 2, 1 for the remainder,
-/// with 2, 4, 8 column strips so a tile always holds 8 accumulators) × a
+/// register tile instead: a block of 8 lanes (4 or 2 for the remainder,
+/// with 2 or 4 column strips so a tile always holds 8 accumulators) × a
 /// strip of 8 columns keeps its accumulators in ymm registers across the
 /// whole chunk, loads each `Wh` row segment once per block and stores each
 /// output once per chunk. The bits stay the portable body's:
@@ -621,40 +621,55 @@ const TILED_MIN_FILL: (usize, usize) = (3, 4);
 ///   that [`Matrix::resize`] writes (intrinsics are never FMA-contracted);
 /// - a row that is zero in every lane of the block is dropped, as the
 ///   portable loop drops it;
-/// - in a kept row, a lane whose coefficient is ±0 adds `±0 · w`. An
-///   accumulator that starts at +0 can never become −0 (a sum is −0 only
-///   if both addends are), so for finite `w` that ±0 leaves it unchanged —
-///   exactly the skipped term. A tile that meets ±inf or NaN (where
-///   `0 · w` is NaN) ends non-finite, and is then recomputed with each
-///   zero coefficient's product ANDed to +0, so non-finite weights behind
-///   zero coefficients still match the skipping portable loop.
+/// - a block in which some kept row is zero in some lane (a ±0 the
+///   portable loop would skip, where ±0 · inf would add NaN) runs the
+///   lane-outer loop instead, and so does a lone remainder lane, where the
+///   tile has no weight reuse to gain. So the tile multiplies in exactly
+///   the terms the portable loop does.
 #[cfg(target_arch = "x86_64")]
 impl Matrix {
     #[target_feature(enable = "avx2")]
     fn matmul_rows_avx2(lhs: &[f32], m: usize, rhs: &Matrix, out: &mut [f32]) {
-        let (k, n) = (rhs.rows, rhs.cols);
         const KB: usize = 64;
-        let mut coeff = [0.0f32; KB];
-        let mut brow = [0usize; KB];
+        let k = rhs.rows;
         for k0 in (0..k).step_by(KB) {
             let k1 = (k0 + KB).min(k);
             if Self::chunk_is_dense(lhs, m, k, k0, k1) {
                 Self::tiled_chunk_avx2(lhs, m, rhs, k0, k1, out);
-                continue;
+            } else {
+                Self::lane_outer_chunk_avx2(lhs, 0..m, rhs, k0, k1, out);
             }
-            for i in 0..m {
-                let a_row = &lhs[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                let mut cnt = 0usize;
-                for (kk, &a) in a_row.iter().enumerate().take(k1).skip(k0) {
-                    if a != 0.0 {
-                        coeff[cnt] = a;
-                        brow[cnt] = kk;
-                        cnt += 1;
-                    }
+        }
+    }
+
+    /// Rows `k0..k1` (`<= 64`) of `rhs` for `lanes` of `lhs`, one lane at a
+    /// time: each lane gathers its own non-zero coefficients, and
+    /// [`Self::accumulate_rows_f32_avx2`] adds their rows into its output.
+    #[target_feature(enable = "avx2")]
+    fn lane_outer_chunk_avx2(
+        lhs: &[f32],
+        lanes: std::ops::Range<usize>,
+        rhs: &Matrix,
+        k0: usize,
+        k1: usize,
+        out: &mut [f32],
+    ) {
+        const KB: usize = 64;
+        let (k, n) = (rhs.rows, rhs.cols);
+        let mut coeff = [0.0f32; KB];
+        let mut brow = [0usize; KB];
+        for i in lanes {
+            let a_row = &lhs[i * k..(i + 1) * k];
+            let out_row = &mut out[i * n..(i + 1) * n];
+            let mut cnt = 0usize;
+            for (kk, &a) in a_row.iter().enumerate().take(k1).skip(k0) {
+                if a != 0.0 {
+                    coeff[cnt] = a;
+                    brow[cnt] = kk;
+                    cnt += 1;
                 }
-                Self::accumulate_rows_f32_avx2(&rhs.data, n, &coeff[..cnt], &brow[..cnt], out_row);
             }
+            Self::accumulate_rows_f32_avx2(&rhs.data, n, &coeff[..cnt], &brow[..cnt], out_row);
         }
     }
 
@@ -689,7 +704,8 @@ impl Matrix {
     }
 
     /// One dense-mode chunk (rows `k0..k1` of `rhs`) for every lane: blocks
-    /// of 8 lanes, then 4, 2 and 1 for the remainder.
+    /// of 8 lanes, then 4 and 2 for the remainder; a last lone lane runs
+    /// the lane-outer loop.
     #[target_feature(enable = "avx2")]
     fn tiled_chunk_avx2(
         lhs: &[f32],
@@ -705,15 +721,19 @@ impl Matrix {
                 8.. => Self::tile_block_avx2::<8, 1>(lhs, i0, rhs, k0, k1, out),
                 4..=7 => Self::tile_block_avx2::<4, 2>(lhs, i0, rhs, k0, k1, out),
                 2..=3 => Self::tile_block_avx2::<2, 4>(lhs, i0, rhs, k0, k1, out),
-                _ => Self::tile_block_avx2::<1, 8>(lhs, i0, rhs, k0, k1, out),
+                _ => {
+                    Self::lane_outer_chunk_avx2(lhs, i0..m, rhs, k0, k1, out);
+                    1
+                }
             };
         }
     }
 
     /// Lanes `i0..i0 + L` over rows `k0..k1` (`<= 64`) of `rhs`: gathers the
     /// block's kept rows (non-zero in some lane of the block) with their
-    /// `L` coefficients and zero masks, then runs the strips `S` at a time
-    /// (see [`Self::tile_strips_avx2`]). Returns `L`.
+    /// `L` coefficients, then runs the strips `S` at a time (see
+    /// [`Self::tile_strips_avx2`]). A kept row that is zero in some lane
+    /// sends the whole block to the lane-outer loop. Returns `L`.
     #[target_feature(enable = "avx2")]
     fn tile_block_avx2<const L: usize, const S: usize>(
         lhs: &[f32],
@@ -726,27 +746,23 @@ impl Matrix {
         const KB: usize = 64;
         let (k, n) = (rhs.rows, rhs.cols);
         let mut coeff = [[0.0f32; L]; KB];
-        let mut keep = [[0u32; L]; KB];
         let mut brow = [0usize; KB];
-        let (mut cnt, mut any_zero) = (0usize, false);
+        let mut cnt = 0usize;
         for kk in k0..k1 {
             let a: [f32; L] = std::array::from_fn(|l| lhs[(i0 + l) * k + kk]);
             if a.iter().all(|&x| x == 0.0) {
                 continue;
             }
-            any_zero |= a.contains(&0.0);
+            if a.contains(&0.0) {
+                Self::lane_outer_chunk_avx2(lhs, i0..i0 + L, rhs, k0, k1, out);
+                return L;
+            }
             coeff[cnt] = a;
-            keep[cnt] = a.map(|x| if x != 0.0 { u32::MAX } else { 0 });
             brow[cnt] = kk;
             cnt += 1;
         }
         let out = &mut out[i0 * n..(i0 + L) * n];
-        let (coeff, keep, brow) = (&coeff[..cnt], &keep[..cnt], &brow[..cnt]);
-        if any_zero {
-            Self::tile_strips_avx2::<L, S, true>(&rhs.data, n, coeff, keep, brow, out);
-        } else {
-            Self::tile_strips_avx2::<L, S, false>(&rhs.data, n, coeff, keep, brow, out);
-        }
+        Self::tile_strips_avx2::<L, S>(&rhs.data, n, &coeff[..cnt], &brow[..cnt], out);
         L
     }
 
@@ -754,19 +770,17 @@ impl Matrix {
     /// output rows of a block: `L × S` register tiles of 8-column strips
     /// (`L · S == 8` accumulators, so a narrow block still has 8
     /// independent add chains in flight), then single strips, then a scalar
-    /// column tail that skips zero coefficients as the portable body does.
-    /// `MASKED` ANDs each product with `keep[p][l]` (all ones, or +0 for a
-    /// ±0 coefficient).
+    /// column tail in the same order.
     ///
-    /// Invariants: `coeff`, `keep` and `rows` have one entry per kept row;
-    /// `out.len() == L · n` and every `(rows[p] + 1) · n <= data.len()` are
-    /// asserted, since the unsafe tile loads rely on them.
+    /// Invariants: `coeff` and `rows` have one entry per kept row, and
+    /// every coefficient is non-zero; `out.len() == L · n` and every
+    /// `(rows[p] + 1) · n <= data.len()` are asserted, since the unsafe
+    /// tile loads rely on them.
     #[target_feature(enable = "avx2")]
-    fn tile_strips_avx2<const L: usize, const S: usize, const MASKED: bool>(
+    fn tile_strips_avx2<const L: usize, const S: usize>(
         data: &[f32],
         n: usize,
         coeff: &[[f32; L]],
-        keep: &[[u32; L]],
         rows: &[usize],
         out: &mut [f32],
     ) {
@@ -782,7 +796,7 @@ impl Matrix {
             // (both bounds asserted above).
             unsafe {
                 let (w, o) = (data.as_ptr().add(c), out.as_mut_ptr().add(c));
-                Self::tile_avx2::<L, S, MASKED>(w, n, coeff, keep, rows, o);
+                Self::tile_avx2::<L, S>(w, n, coeff, rows, o);
             }
             c += 8 * S;
         }
@@ -790,7 +804,7 @@ impl Matrix {
             // SAFETY: as above, with `c + 8 <= n` for a single strip.
             unsafe {
                 let (w, o) = (data.as_ptr().add(c), out.as_mut_ptr().add(c));
-                Self::tile_avx2::<L, 1, MASKED>(w, n, coeff, keep, rows, o);
+                Self::tile_avx2::<L, 1>(w, n, coeff, rows, o);
             }
             c += 8;
         }
@@ -798,12 +812,8 @@ impl Matrix {
             for l in 0..L {
                 let out_row = &mut out[l * n + c..(l + 1) * n];
                 for (&r, a) in rows.iter().zip(coeff) {
-                    let a = a[l];
-                    if a == 0.0 {
-                        continue;
-                    }
                     for (o, b) in out_row.iter_mut().zip(&data[r * n + c..(r + 1) * n]) {
-                        *o += a * b;
+                        *o += a[l] * b;
                     }
                 }
             }
@@ -814,14 +824,6 @@ impl Matrix {
     /// `out` (row stride `n`), adds every kept row's products in order, and
     /// stores them back once.
     ///
-    /// With `MASKED` (the block has a ±0 coefficient) the products go in
-    /// unmasked all the same: `±0 · w` is ±0 for finite `w`, which leaves
-    /// the accumulator unchanged. Only a non-finite `w` would differ, and
-    /// a non-finite product makes its accumulator non-finite for good
-    /// (`inf + x` is inf or NaN, `NaN + x` is NaN). So a tile that ends
-    /// finite took no such product, and one that does not is recomputed
-    /// from `out` by [`Self::masked_tile_avx2`].
-    ///
     /// # Safety
     ///
     /// AVX2 must be available; `out.add(l·n + j)` for `l < L`, `j < 8·S`
@@ -829,17 +831,15 @@ impl Matrix {
     /// every `p`, `j < 8·S` valid for reads.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile_avx2<const L: usize, const S: usize, const MASKED: bool>(
+    unsafe fn tile_avx2<const L: usize, const S: usize>(
         w: *const f32,
         n: usize,
         coeff: &[[f32; L]],
-        keep: &[[u32; L]],
         rows: &[usize],
         out: *mut f32,
     ) {
         use std::arch::x86_64::*;
-        // SAFETY: every pointer offset below is one the caller vouches for,
-        // and so is the call to the masked twin.
+        // SAFETY: every pointer offset below is one the caller vouches for.
         unsafe {
             let mut acc: [[__m256; S]; L] = std::array::from_fn(|l| {
                 std::array::from_fn(|s| _mm256_loadu_ps(out.add(l * n + 8 * s)))
@@ -854,67 +854,11 @@ impl Matrix {
                     }
                 }
             }
-            if MASKED && Self::any_non_finite(acc.as_flattened()) {
-                acc = Self::masked_tile_avx2(w, n, coeff, keep, rows, out);
-            }
             for (l, acc) in acc.iter().enumerate() {
                 for (s, a) in acc.iter().enumerate() {
                     _mm256_storeu_ps(out.add(l * n + 8 * s), *a);
                 }
             }
-        }
-    }
-
-    /// Whether any lane of `v` is ±inf or NaN (`x - x` is NaN exactly
-    /// there).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn any_non_finite(v: &[std::arch::x86_64::__m256]) -> bool {
-        use std::arch::x86_64::*;
-        let bad = v.iter().fold(_mm256_setzero_ps(), |bad, &x| {
-            let d = _mm256_sub_ps(x, x);
-            _mm256_or_ps(bad, _mm256_cmp_ps::<_CMP_UNORD_Q>(d, d))
-        });
-        _mm256_testz_ps(bad, bad) == 0
-    }
-
-    /// [`Self::tile_avx2`]'s accumulators recomputed from `out` with each
-    /// product ANDed with its lane's `keep` mask, so a ±0 coefficient adds
-    /// +0 where `0 · inf` would add NaN; returns them unstored. Out of
-    /// line: only tiles that meet ±inf or NaN get here.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Self::tile_avx2`], except that `out` is only read.
-    #[target_feature(enable = "avx2")]
-    #[cold]
-    #[inline(never)]
-    unsafe fn masked_tile_avx2<const L: usize, const S: usize>(
-        w: *const f32,
-        n: usize,
-        coeff: &[[f32; L]],
-        keep: &[[u32; L]],
-        rows: &[usize],
-        out: *const f32,
-    ) -> [[std::arch::x86_64::__m256; S]; L] {
-        use std::arch::x86_64::*;
-        // SAFETY: every pointer offset below is one the caller vouches for.
-        unsafe {
-            let mut acc: [[__m256; S]; L] = std::array::from_fn(|l| {
-                std::array::from_fn(|s| _mm256_loadu_ps(out.add(l * n + 8 * s)))
-            });
-            for ((&r, a), kp) in rows.iter().zip(coeff).zip(keep) {
-                let row = w.add(r * n);
-                for l in 0..L {
-                    let va = _mm256_set1_ps(a[l]);
-                    let vk = _mm256_castsi256_ps(_mm256_set1_epi32(kp[l] as i32));
-                    for (s, acc) in acc[l].iter_mut().enumerate() {
-                        let prod = _mm256_mul_ps(va, _mm256_loadu_ps(row.add(8 * s)));
-                        *acc = _mm256_add_ps(*acc, _mm256_and_ps(prod, vk));
-                    }
-                }
-            }
-            acc
         }
     }
 
